@@ -134,10 +134,6 @@ def is_ordered(spec: GroupSpec) -> bool:
     return isinstance(spec, (Integers, IntegerVectors))
 
 
-def is_finite(spec: GroupSpec) -> bool:
-    return isinstance(spec, (CyclicProduct, PrimeField, PrimePowerField))
-
-
 def group_order(spec: GroupSpec) -> int:
     if isinstance(spec, CyclicProduct):
         n = 1
@@ -355,8 +351,10 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree k over F_p,
-    comparing the low-coefficient tuple (c_0, ..., c_{k-1})."""
+    """Smallest monic irreducible of degree k over F_p by the code
+    c_0 + c_1 p + ... + c_{k-1} p^(k-1), that is lexicographically smallest
+    comparing the high-coefficient-first tuple (c_{k-1}, ..., c_0).  Every
+    field table and recorded witness rests on this presentation."""
     total = p**k
     for code in range(total):
         coeffs = []

@@ -64,6 +64,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+# what reading a malformed or unreadable input file raises; all exit 3
+_BAD_INPUT = (ValueError, KeyError, TypeError, AttributeError, OSError, json.JSONDecodeError)
 
 
 def default_budget() -> int:
@@ -240,7 +242,7 @@ def cmd_check(args) -> int:
                 doc["constraint"] if "constraint" in doc else doc, arr.spec
             )
         report = check(arr, constraint)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if report.ok:
@@ -258,7 +260,7 @@ def cmd_search(args) -> int:
     try:
         with open(args.instance, encoding="utf-8") as fh:
             ground, shape, constraint = instance_from_dict(json.load(fh))
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.all_small and len(ground) > 9:
@@ -492,7 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad arguments, but 2 means "budget" here;
+        # --help and --version still exit 0
+        if not exc.code:
+            raise
+        if isinstance(exc.code, str):
+            print(f"error: {exc.code}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except SystemExit as exc:

@@ -1071,8 +1071,15 @@ def run_instance(conjecture_id: str, params: dict,
         arr = qr_cycle(q, op, target)
         ms = int((time.perf_counter() - t0) * 1000)
         if arr is None:
+            # the construction does not apply, which says nothing about
+            # existence: the exact search decides
+            out = search(inst.ground, inst.shape, inst.constraint, budget)
+            witness = None
+            if out.status == "witness":
+                witness = _witness_coords(inst.ground, out.witness)
             return VerificationRecord(
-                conjecture_id, params, "exhausted", None, 0, ms,
+                conjecture_id, params, out.status, witness, out.nodes,
+                ms + out.elapsed_ms,
                 note="no generator with the shifted square in the target class",
             )
         assert check(arr, inst.constraint).ok

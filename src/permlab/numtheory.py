@@ -339,37 +339,24 @@ class PredicateSpec:
 def eval_predicate(spec: PredicateSpec, k: int) -> bool:
     """Evaluate a predicate at k with strict domain checking: arguments the
     predicate is undefined for (negative shifted values, k == 0 mod q for the
-    modular kinds) raise ValueError."""
+    modular kinds) raise ValueError.  Inside its domain it agrees with
+    predicate_allows."""
     kind = spec.kind
     if kind == PRIME_SHIFT:
         a, b = spec.params
-        v = a * k + b
-        if v < 0:
+        if a * k + b < 0:
             raise ValueError(f"{a}*{k}{b:+d} is negative")
-        return is_prime(v)
-    if kind == TWIN_INDEX:
+    elif kind in (TWIN_INDEX, SOPHIE_GERMAIN_INDEX):
         if k < 1:
-            raise ValueError(f"twin_index needs k >= 1, got {k}")
-        return is_prime(6 * k - 1) and is_prime(6 * k + 1)
-    if kind == SOPHIE_GERMAIN_INDEX:
-        if k < 1:
-            raise ValueError(f"sophie_germain_index needs k >= 1, got {k}")
-        return is_prime(6 * k - 1) and is_prime(12 * k - 1)
-    if kind == PRIME:
+            raise ValueError(f"{kind} needs k >= 1, got {k}")
+    elif kind == PRIME:
         if k < 0:
             raise ValueError(f"prime predicate needs k >= 0, got {k}")
-        return is_prime(k)
-    if kind == COPRIME_TO:
-        return gcd(k, spec.params[0]) == 1
-    q = spec.params[0]
-    r = k % q
-    if r == 0:
-        raise ValueError(f"{k} is 0 mod {q}; neither class applies")
-    if kind == PRIMITIVE_ROOT_MOD:
-        return is_primitive_root(r, q)
-    if kind == QUADRATIC_RESIDUE_MOD:
-        return is_quadratic_residue(r, q)
-    return not is_quadratic_residue(r, q)
+    elif kind in MODULAR_KINDS:
+        q = spec.params[0]
+        if k % q == 0:
+            raise ValueError(f"{k} is 0 mod {q}; neither class applies")
+    return predicate_allows(spec, k)
 
 
 def predicate_allows(spec: PredicateSpec, k: int) -> bool:

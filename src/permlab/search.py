@@ -71,11 +71,6 @@ BRUTE_FORCE_MAX = 9
 PAIR_NUMBERING_MAX = 6
 # failed-subproblem memo entries kept before a deterministic reset
 _MEMO_CAP = 1 << 20
-# below this many unused vertices the kernel runs the pairwise
-# reachability-comparability test on the remaining region; only once at
-# least one edge is placed (depth k >= 2), since at depth 1 the tail is the
-# start and the region is a cycle, not a tail-to-start path
-_ENDGAME_ZONE = 26
 
 # Rainbow label kinds (adjacent labels must be pairwise distinct).
 RB_SUM = "sum"  # x + y
@@ -289,11 +284,6 @@ def _predicate_tester(spec: GroupSpec, pclause: PredicateClause):
     return lambda v: predicate_allows(pred, v)
 
 
-def predicate_edge_ok(spec: GroupSpec, pclause: PredicateClause, x: Element, y: Element) -> bool:
-    test = _predicate_tester(spec, pclause)
-    return all(test(v) for v in pair_labels(spec, pclause, x, y))
-
-
 # --- checker ------------------------------------------------------------------
 
 
@@ -478,38 +468,25 @@ def search(
     n = len(elems)
     circular = shape == CIRCULAR
 
-    pair_rb = [c for c in constraint.clauses if isinstance(c, RainbowClause) and c.kind != RB_TRIPLE]
-    triple_rb = [c for c in constraint.clauses if isinstance(c, RainbowClause) and c.kind == RB_TRIPLE]
+    # one label tracker per rainbow clause, in clause order: (arity, labels,
+    # labels in use).  Pair labels are a matrix over element indices; triple
+    # labels are computed from the three indices of the window.
+    trackers = []
+    for cl in constraint.clauses:
+        if not isinstance(cl, RainbowClause):
+            continue
+        if cl.kind == RB_TRIPLE:
+
+            def labels(a, b, c, cl=cl):
+                return rainbow_triple_label(spec, cl, elems[a], elems[b], elems[c])
+
+            trackers.append((3, labels, set()))
+        else:
+            labels = [
+                [rainbow_label(spec, cl, x, y) if x != y else None for y in elems] for x in elems
+            ]
+            trackers.append((2, labels, set()))
     pclauses = [c for c in constraint.clauses if isinstance(c, PredicateClause)]
-
-    # label matrices for pair rainbow clauses
-    rb_mats = []
-    for cl in pair_rb:
-        mat = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    mat[i][j] = rainbow_label(spec, cl, elems[i], elems[j])
-        rb_mats.append(mat)
-    rb_seen: list[set] = [set() for _ in rb_mats]
-
-    # pairwise partial sums for the triple clause
-    tri = triple_rb[0] if triple_rb else None
-    if tri is not None:
-        psum = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    psum[i][j] = group_add(spec, elems[i], elems[j])
-        tri_mod = tri.modulus
-
-        def tri_label(a, b, c):
-            v = group_add(spec, psum[a][b], elems[c])
-            if tri_mod is not None:
-                v %= tri_mod
-            return v
-
-        tri_seen: set = set()
 
     if pclauses:
         out_mask, in_mask = _compile_adjacency(spec, elems, pclauses)
@@ -532,7 +509,9 @@ def search(
     over = False
     found: Arrangement | None = None
     count = 0
-    path = [0] * n
+    # two spare slots past the end hold path[0] and path[1] again once the
+    # circle closes, so the windows that wrap around read straight through
+    path = [0] * (n + 2)
     full_mask = (1 << n) - 1
     # predecessor/successor feasibility argument needs cycles of length >= 3
     prune = circular and out_mask is not None and n >= 3
@@ -541,36 +520,34 @@ def search(
     # on revisit.  Sound: only failure is cached, never witnesses, so the
     # first witness (and any witness count) is unchanged.  The orientation
     # filter consults path[1], which is folded into the key when active.
-    memo_failures = not rb_mats and tri is None and out_mask is not None
+    memo_failures = not trackers and out_mask is not None
     failed: set = set()
 
-    def add_edge(u, v) -> bool:
-        """Incrementally admit directed edge (u, v); rolls itself back on
-        conflict.  Predicate adjacency is assumed pre-checked."""
-        for mat, seen in zip(rb_mats, rb_seen):
-            lab = mat[u][v]
-            if lab in seen:
-                for m2, s2 in zip(rb_mats, rb_seen):
-                    if m2 is mat:
-                        break
-                    s2.discard(m2[u][v])
-                return False
-            seen.add(lab)
-        return True
+    def admit(ends):
+        """Record, for every rainbow clause, the label of each window that
+        ends at one of the given path positions and starts at one of the n
+        placed positions.  Returns the labels added, or None when one
+        repeats; nothing stays recorded then."""
+        added = []
+        for arity, labels, used in trackers:
+            for e in ends:
+                s = e - arity + 1
+                if not 0 <= s < n:
+                    continue
+                if arity == 2:
+                    lab = labels[path[s]][path[e]]
+                else:
+                    lab = labels(path[s], path[s + 1], path[e])
+                if lab in used:
+                    retract(added)
+                    return None
+                used.add(lab)
+                added.append((used, lab))
+        return added
 
-    def drop_edge(u, v):
-        for mat, seen in zip(rb_mats, rb_seen):
-            seen.discard(mat[u][v])
-
-    def add_triple(a, b, c) -> bool:
-        lab = tri_label(a, b, c)
-        if lab in tri_seen:
-            return False
-        tri_seen.add(lab)
-        return True
-
-    def drop_triple(a, b, c):
-        tri_seen.discard(tri_label(a, b, c))
+    def retract(added):
+        for used, lab in added:
+            used.discard(lab)
 
     def degree_prune_ok(unused, tail, affected) -> bool:
         """Circular-mode fail-fast: every still-unused vertex needs a feasible
@@ -592,53 +569,6 @@ def search(
                 return False
             if (preds | succs).bit_count() < 2:
                 return False
-        return True
-
-    def endgame_ok(unused, tail) -> bool:
-        """Exact-ish endgame test: on the remaining region (unused plus the
-        tail as source and the start as sink) any completing path visits all
-        vertices in one line, so every pair must be reachability-comparable.
-        Incomparable pairs prove the subtree dead.  Sound; subsumes plain
-        reachability on the region.
-
-        Precondition: at least one edge has been placed, so the tail is not
-        the start.  At depth 1 the two coincide and the completion is a cycle
-        through the start, not a tail-to-start path; the test would make the
-        start a sink with no in-edges and reject every instance."""
-        start = path[0]
-        start_bit = 1 << start
-        tail_bit = 1 << tail
-        region = unused | start_bit | tail_bit
-        no_tail = ~tail_bit
-        vs = []
-        m = region
-        while m:
-            b = m & -m
-            m ^= b
-            vs.append(b.bit_length() - 1)
-        fwd = {}
-        for v in vs:
-            # edges into the tail are unusable, the start is a pure sink
-            fwd[v] = 0 if v == start else out_mask[v] & region & no_tail
-        changed = True
-        while changed:
-            changed = False
-            for v in vs:
-                cur = fwd[v]
-                acc = cur
-                m = cur
-                while m:
-                    b = m & -m
-                    m ^= b
-                    acc |= fwd[b.bit_length() - 1]
-                if acc != cur:
-                    fwd[v] = acc
-                    changed = True
-        for i, v in enumerate(vs):
-            fv = fwd[v]
-            for w in vs[i + 1 :]:
-                if not (fv >> w & 1) and not (fwd[w] >> v & 1):
-                    return False
         return True
 
     def reach_prune_ok(unused, tail) -> bool:
@@ -679,39 +609,10 @@ def search(
             frontier &= unused
         return seen == target
 
-    def complete_circular() -> bool:
-        """Admit the wrap edge(s) after the final placement; True when the
-        arrangement closes into a valid cycle."""
-        u = path[n - 1]
-        v = path[0]
-        if n >= 2:
-            if out_mask is not None and not (out_mask[u] >> v & 1):
-                return False
-            if not add_edge(u, v):
-                return False
-            if tri is not None and n >= 3:
-                if not add_triple(path[n - 2], u, v):
-                    drop_edge(u, v)
-                    return False
-                if not add_triple(u, v, path[1]):
-                    drop_triple(path[n - 2], u, v)
-                    drop_edge(u, v)
-                    return False
-        return True
-
-    def uncomplete_circular():
-        u = path[n - 1]
-        v = path[0]
-        if n >= 2:
-            if tri is not None and n >= 3:
-                drop_triple(u, v, path[1])
-                drop_triple(path[n - 2], u, v)
-            drop_edge(u, v)
-
     def accept() -> bool:
         """Called with a full path; returns True to stop the search."""
         nonlocal found, count
-        arr = Arrangement(spec, shape, tuple(elems[i] for i in path))
+        arr = Arrangement(spec, shape, tuple(elems[i] for i in path[:n]))
         if found is None:
             report = check(arr, constraint)
             if not report.ok:
@@ -722,6 +623,22 @@ def search(
         count += 1
         return not count_witnesses
 
+    def close() -> bool:
+        """Called with a full circular path: admit the wrap edge and the
+        windows that wrap around, then accept; returns True to stop the
+        search."""
+        if out_mask is not None and not (out_mask[path[n - 1]] >> path[0] & 1):
+            return False
+        if not trackers:
+            return accept()
+        path[n:] = path[:2]
+        wrapped = admit((n, n + 1))
+        if wrapped is None:
+            return False
+        stop = accept()
+        retract(wrapped)
+        return stop
+
     def extend(k, unused) -> bool:
         nonlocal nodes, over
         prev = path[k - 1]
@@ -729,17 +646,6 @@ def search(
             key = (unused, prev, path[1]) if sym_reduce else (unused, prev)
             if key in failed:
                 return False
-        if (
-            prune
-            and k >= 2
-            and 2 < n - k <= _ENDGAME_ZONE
-            and not endgame_ok(unused, prev)
-        ):
-            if memo_failures:
-                if len(failed) >= _MEMO_CAP:
-                    failed.clear()
-                failed.add(key)
-            return False
         if nbr_out is not None:
             base = [j for j in nbr_out[prev] if unused >> j & 1]
         else:
@@ -756,25 +662,16 @@ def search(
             if nodes > budget:
                 over = True
                 return True
-            if not add_edge(prev, j):
-                continue
-            tri_added = False
-            if tri is not None and k >= 2:
-                if not add_triple(path[k - 2], prev, j):
-                    drop_edge(prev, j)
-                    continue
-                tri_added = True
             path[k] = j
+            added = None
+            if trackers:
+                added = admit((k,))
+                if added is None:
+                    continue
             if last_pos:
-                if circular:
-                    if complete_circular():
-                        stop = accept()
-                        uncomplete_circular()
-                        if stop:
-                            return True
-                else:
-                    if accept():
-                        return True
+                stop = close() if circular else accept()
+                if stop:
+                    return True
             else:
                 nxt = unused ^ (1 << j)
                 ok = True
@@ -783,9 +680,8 @@ def search(
                     ok = degree_prune_ok(nxt, j, affected) and reach_prune_ok(nxt, j)
                 if ok and extend(k + 1, nxt):
                     return True
-            if tri_added:
-                drop_triple(path[k - 2], prev, j)
-            drop_edge(prev, j)
+            if added:
+                retract(added)
         if memo_failures and not over and count == count_at_entry:
             if len(failed) >= _MEMO_CAP:
                 failed.clear()

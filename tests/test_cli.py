@@ -153,6 +153,25 @@ class TestSearch:
         assert code == 2
         assert json.loads(out)["status"] == "budget"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            5,
+            {"group": 3},
+            {"group": {"kind": "integers"}, "shape": "circular", "ground": 5,
+             "constraint": {"clauses": [{"rainbow": "sum"}]}},
+            {"group": {"kind": "integers"}, "shape": "circular", "ground": [[1], [2], [3]],
+             "constraint": {"clauses": [{"rainbow": "sum", "modulus": "3"}]}},
+        ],
+    )
+    def test_malformed_instance_is_usage_error(self, capsys, tmp_path, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "search", "--instance", str(p))
+        assert code == 3
+        assert err.startswith("error:") and out == ""
+
     def test_all_small_capacity(self, capsys, tmp_path):
         inst = {
             "group": {"kind": "integers"},
@@ -296,3 +315,20 @@ class TestFixturesCommand:
         assert "FAIL" not in out
         rows = read_jsonl(out_path)
         assert len(rows) == 19
+
+
+class TestArgumentErrors:
+    def test_missing_required_argument(self, capsys):
+        code, _, err = run(capsys, "search")
+        assert code == 3
+        assert "--instance" in err
+
+    def test_unknown_command(self, capsys):
+        code, _, _ = run(capsys, "nope")
+        assert code == 3
+
+    def test_version_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert "permlab" in capsys.readouterr().out

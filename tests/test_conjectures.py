@@ -157,6 +157,26 @@ class TestRunInstance:
         assert rec.status == "exhausted"
         assert "no generator" in rec.note
 
+    def test_qr_mode_searches_without_generator(self):
+        # with no suitable generator the runner falls back to the exact
+        # search, which finds these arrangements
+        cases = [
+            ({"q": 13, "op": 1, "target": 1}, (1, 3, 9, 4, 10, 12)),
+            ({"q": 3, "op": 0, "target": 0}, (1,)),
+            ({"q": 3, "op": 1, "target": 0}, (1,)),
+            ({"q": 3, "op": 1, "target": 1}, (1,)),
+        ]
+        for params, elems in cases:
+            rec = run_instance("thm1.6-range", params)
+            assert rec.status == "witness", params
+            assert "no generator" in rec.note
+            assert [c[0] for c in rec.witness] == list(elems)
+            assert replay_witness(rec)
+        # these have no arrangement; the verdict now comes from the search
+        for q, op, target in ((5, 0, 0), (5, 0, 1), (5, 1, 0), (7, 0, 0)):
+            rec = run_instance("thm1.6-range", {"q": q, "op": op, "target": target})
+            assert rec.status == "exhausted" and rec.nodes >= 1
+
 
 class Test32Protocol:
     def test_distance_rainbow_exhausted_maps_to_skip(self):

@@ -2,6 +2,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permlab.algebra import (
     CIRCULAR,
@@ -235,6 +237,86 @@ class TestOracleAgreement:
             assert (out.status == "witness") == (cnt > 0), (vals, kind, shape)
             for w in wits or []:
                 assert check(w, cons).ok
+
+
+# Z/m has no multiplication, so products and squares are drawn over Z only
+_FENCE_PAIR_KINDS = ("sum", "diff", "weighted")
+_FENCE_PREDICATES = (
+    PredicateSpec("prime"),
+    PredicateSpec("coprime_to", (6,)),
+    PredicateSpec("quadratic_residue_mod", (7,)),
+    PredicateSpec("quadratic_nonresidue_mod", (11,)),
+)
+_FENCE_LABELERS = ("sum", "diff")
+
+
+@st.composite
+def conjunctions(draw):
+    """A small random instance: up to 7 elements of Z or Z/m, either shape,
+    up to two triple and two pair rainbow clauses (some with a modulus) in
+    random order, and possibly a predicate clause."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        spec = Z
+        vals = draw(st.lists(st.integers(-5, 12), min_size=n, max_size=n, unique=True))
+        pair_kinds = _FENCE_PAIR_KINDS + ("distance", "product")
+        labelers = _FENCE_LABELERS + ("square_plus", "product_minus_one")
+    else:
+        m = draw(st.integers(max(n, 2), 12))
+        spec = CyclicProduct((m,))
+        vals = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n, unique=True))
+        pair_kinds = _FENCE_PAIR_KINDS
+        labelers = _FENCE_LABELERS
+    moduli = st.none() | st.integers(2, 9)
+    clauses = draw(st.lists(st.builds(RainbowClause, st.just("triple"), moduli), max_size=2))
+    clauses += draw(
+        st.lists(st.builds(RainbowClause, st.sampled_from(pair_kinds), moduli), max_size=2)
+    )
+    if not clauses or draw(st.booleans()):
+        clauses.append(
+            PredicateClause(
+                draw(st.sampled_from(_FENCE_PREDICATES)), draw(st.sampled_from(labelers))
+            )
+        )
+    shape = draw(st.sampled_from([LINEAR, CIRCULAR]))
+    if shape == CIRCULAR and n == 2 and any(c.kind == "triple" for c in clauses
+                                             if isinstance(c, RainbowClause)):
+        shape = LINEAR  # a two-element circle has no triple windows
+    clauses = draw(st.permutations(clauses))
+    return GroundSet(spec, tuple(vals)), shape, Constraint(tuple(clauses))
+
+
+class TestDifferentialFence:
+    """Kernel witness counts against the brute-force oracle, clause mixes
+    included; a kernel that drops a clause or a witness shows up here."""
+
+    @given(conjunctions())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_counts_match_brute_force(self, instance):
+        ground, shape, cons = instance
+        out = search(ground, shape, cons, count_witnesses=True)
+        expected, _ = brute_force_enumerate(ground, shape, cons)
+        count = out.witness_count
+        if shape == LINEAR and cons.reversal_symmetric and len(ground) > 1:
+            # the kernel walks both directions of a line, the oracle keeps one
+            assert count % 2 == 0
+            count //= 2
+        assert count == expected
+        assert (out.status == "witness") == (expected > 0)
+
+    @pytest.mark.parametrize(
+        "m, n, shape, modulus, expected",
+        [(7, 5, CIRCULAR, 6, 2), (10, 8, CIRCULAR, 8, 128), (11, 9, LINEAR, 9, None)],
+    )
+    def test_two_triple_clauses(self, m, n, shape, modulus, expected):
+        ground = GroundSet(CyclicProduct((m,)), tuple(range(n)))
+        cons = Constraint((RainbowClause("triple"), RainbowClause("triple", modulus)))
+        out = search(ground, shape, cons, count_witnesses=expected is not None)
+        assert out.status == "witness"
+        assert check(out.witness, cons).ok
+        if expected is not None:
+            assert out.witness_count == expected
+            assert brute_force_enumerate(ground, shape, cons)[0] == expected
 
 
 class TestPairNumbering:
