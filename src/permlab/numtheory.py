@@ -220,15 +220,22 @@ def has_primitive_root(n: int) -> bool:
     return len(factorize(m).pairs) == 1
 
 
+@lru_cache(maxsize=1 << 16)
+def _primitive_root_exponents(n: int) -> tuple[int, ...]:
+    """phi(n)/q for every prime q dividing phi(n), for n with primitive roots."""
+    if not has_primitive_root(n):
+        raise ValueError(f"{n} has no primitive roots")
+    phi = euler_phi(n)
+    return tuple(phi // q for q in factorize(phi).primes())
+
+
 def is_primitive_root(g: int, n: int) -> bool:
     """True when g generates the multiplicative group mod n.  Tested by
     checking g**(phi(n)/q) != 1 for every prime q dividing phi(n)."""
-    if not has_primitive_root(n):
-        raise ValueError(f"{n} has no primitive roots")
+    exponents = _primitive_root_exponents(n)
     if gcd(g, n) != 1:
         raise ValueError(f"gcd({g}, {n}) != 1")
-    phi = euler_phi(n)
-    return all(pow(g, phi // q, n) != 1 for q in factorize(phi).primes())
+    return all(pow(g, e, n) != 1 for e in exponents)
 
 
 def find_primitive_root(n: int) -> int:
@@ -390,14 +397,22 @@ def predicate_allows(spec: PredicateSpec, k: int) -> bool:
 
 # Dense tables cap: beyond this label span fall back to a lazy dict cache.
 _DENSE_SPAN = 1 << 22
+# The forms (c, d) whose values c*k + d must all be prime, per range kind;
+# prime_shift (a, b) is its own single form.
+_PRIME_FORMS = {
+    PRIME: ((1, 0),),
+    TWIN_INDEX: ((6, -1), (6, 1)),
+    SOPHIE_GERMAIN_INDEX: ((6, -1), (12, -1)),
+}
 
 
 class PredicateTable:
     """Memoized predicate truth over the label range one search will see.
 
     Modular kinds build a dense table over 0..q-1 once; the prime-valued
-    kinds sieve the transformed range in one pass.  Lookup follows the same
-    lenient edge semantics as predicate_allows.
+    kinds sieve the range lo..hi in one pass.  Labels outside the dense
+    table are evaluated by predicate_allows and cached.  Lookup follows the
+    same lenient edge semantics as predicate_allows.
     """
 
     __slots__ = ("spec", "lo", "hi", "_dense", "_cache", "_mod")
@@ -406,7 +421,7 @@ class PredicateTable:
         self.spec = spec
         self.lo = lo
         self.hi = hi
-        self._cache: dict[int, bool] | None = None
+        self._cache: dict[int, bool] = {}
         self._dense: bytes | None = None
         self._mod = 0
         kind = spec.kind
@@ -419,12 +434,8 @@ class PredicateTable:
             if m > 1:
                 self._mod = m
                 self._dense = bytes(1 if gcd(r, m) == 1 else 0 for r in range(m))
-            else:
-                self._cache = {}
         elif hi >= lo and hi - lo <= _DENSE_SPAN:
             self._dense = self._build_range(kind, lo, hi)
-        else:
-            self._cache = {}
 
     @staticmethod
     def _build_modular(kind: str, q: int) -> bytes:
@@ -447,37 +458,39 @@ class PredicateTable:
         return bytes(table)
 
     def _build_range(self, kind: str, lo: int, hi: int) -> bytes:
-        a, b = 1, 0
-        if kind == PRIME_SHIFT:
-            a, b = self.spec.params
-        factor = {TWIN_INDEX: 6, SOPHIE_GERMAIN_INDEX: 12}.get(kind, a)
-        top = max(factor * hi + abs(b) + 1, 3)
-        sieve = primes_upto(top)
-        out = bytearray(hi - lo + 1)
-        for k in range(max(lo, 0), hi + 1):
-            if kind == PRIME:
-                ok = sieve.is_prime(k)
-            elif kind == PRIME_SHIFT:
-                v = a * k + b
-                ok = v >= 2 and sieve.is_prime(v)
-            elif kind == TWIN_INDEX:
-                ok = k >= 1 and sieve.is_prime(6 * k - 1) and sieve.is_prime(6 * k + 1)
-            else:
-                ok = k >= 1 and sieve.is_prime(6 * k - 1) and sieve.is_prime(12 * k - 1)
-            out[k - lo] = 1 if ok else 0
+        """Truth over lo..hi.  The kind holds at k when c*k + d is prime for
+        each of its forms (c, d); each form reads one strided slice of a
+        single sieve, and negative values are never prime."""
+        forms = _PRIME_FORMS.get(kind) or (self.spec.params,)
+        sieve = primes_upto(max(2, max(c * hi + d for c, d in forms))).table
+        out = None
+        for c, d in forms:
+            k0 = max(lo, -(d // c))  # the first k with c*k + d >= 0
+            part = bytes(min(k0, hi + 1) - lo)
+            if k0 <= hi:
+                part += sieve[c * k0 + d : c * hi + d + 1 : c]
+            out = part if out is None else bytes(map(min, out, part))
+        return out
+
+    def truths(self, labels) -> bytes:
+        """The truth of every label in a sequence at once, as bytes holding 1
+        where the label passes and 0 where it fails."""
+        dense = self._dense
+        if self._mod:
+            return bytes(map(dense.__getitem__, map(self._mod.__rmod__, labels)))
+        lo, hi = self.lo, self.hi
+        if dense is not None and labels and lo <= min(labels) and max(labels) <= hi:
+            return bytes(map(dense.__getitem__, map(lo.__rsub__, labels)))
+        out = bytearray(len(labels))
+        for i, k in enumerate(labels):
+            if dense is not None and lo <= k <= hi:
+                out[i] = dense[k - lo]
+                continue
+            hit = self._cache.get(k)
+            if hit is None:
+                hit = self._cache[k] = predicate_allows(self.spec, k)
+            out[i] = hit
         return bytes(out)
 
     def lookup(self, k: int) -> bool:
-        if self._mod:
-            return self._dense[k % self._mod] == 1
-        if self.spec.kind == COPRIME_TO:
-            return predicate_allows(self.spec, k)
-        if self._dense is not None:
-            if k < self.lo or k > self.hi:
-                return predicate_allows(self.spec, k)
-            return self._dense[k - self.lo] == 1
-        hit = self._cache.get(k)
-        if hit is None:
-            hit = predicate_allows(self.spec, k)
-            self._cache[k] = hit
-        return hit
+        return self.truths((k,))[0] == 1

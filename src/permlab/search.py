@@ -16,13 +16,17 @@ Circular searches without pins fix the smallest element at position zero.
 When every clause is reversal symmetric (rainbow sum / distance / product,
 and predicates with a symmetric labeler) the orientation is additionally
 fixed by requiring the second element to be smaller than the last.  Pinned
-searches explore exactly the pinned space.
+searches explore exactly the pinned space: a first pin is the start, and a
+circular search pinned only at the end tries every other element as the
+start, in ascending order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import sub
 
 from .algebra import (
     CIRCULAR,
@@ -38,6 +42,7 @@ from .algebra import (
     group_add,
     group_double,
     group_mul,
+    group_neg,
     group_sub,
     validate_element,
 )
@@ -45,7 +50,6 @@ from .numtheory import (
     MODULAR_KINDS,
     PredicateSpec,
     PredicateTable,
-    predicate_allows,
 )
 
 __all__ = [
@@ -264,24 +268,50 @@ def rainbow_triple_label(spec: GroupSpec, clause: RainbowClause, x, y, z) -> Ele
     return v
 
 
-def _predicate_tester(spec: GroupSpec, pclause: PredicateClause):
-    """Truth function for a predicate clause's label values in the given
-    ambient.  Modular kinds over a field ambient are answered from the field
-    tables (this is what makes prime-power instances work); everything else
-    goes through the integer predicate."""
-    pred = pclause.predicate
+def _field_table(spec: PrimeField | PrimePowerField, pred: PredicateSpec) -> bytes:
+    """1 at every element of F_q in the modular predicate's class (primitive
+    elements, nonzero squares or nonsquares), 0 elsewhere."""
+    fv = field_view(spec)
+    if pred.params[0] != fv.q:
+        raise ValueError(f"predicate modulus {pred.params[0]} != field size {fv.q}")
+    if pred.kind == "primitive_root_mod":
+        members = filter(fv.is_primitive, range(fv.q))
+    elif pred.kind == "quadratic_residue_mod":
+        members = fv.squares
+    else:
+        members = fv.nonsquares
+    table = bytearray(fv.q)
+    for x in members:
+        table[x] = 1
+    return bytes(table)
+
+
+@lru_cache(maxsize=64)
+def _predicate_evaluator(spec: GroupSpec, pred: PredicateSpec):
+    """The one place a predicate is evaluated, for check() and the kernel's
+    adjacency alike.  Returns truths(rows), which maps each row of label
+    values to bytes holding 1 where the label passes and 0 where it fails.
+    Modular kinds over a field ground read the field's classes (this is what
+    makes prime-power instances work); every other predicate reads a
+    PredicateTable, whose prime-valued kinds are sieved over the span of the
+    labels asked about.  Cached, so a check() after a search reuses the
+    search's table."""
     if isinstance(spec, (PrimeField, PrimePowerField)) and pred.kind in MODULAR_KINDS:
-        fv = field_view(spec)
-        if pred.params[0] != fv.q:
-            raise ValueError(f"predicate modulus {pred.params[0]} != field size {fv.q}")
-        if pred.kind == "primitive_root_mod":
-            return fv.is_primitive
-        if pred.kind == "quadratic_residue_mod":
-            return fv.in_squares
-        return fv.in_nonsquares
+        table = _field_table(spec, pred)
+        return lambda rows: [bytes(map(table.__getitem__, row)) for row in rows]
     if isinstance(spec, PrimePowerField):
         raise ValueError(f"predicate {pred.kind} is not defined over {spec!r}")
-    return lambda v: predicate_allows(pred, v)
+    if pred.kind in MODULAR_KINDS or pred.kind == "coprime_to":
+        table = PredicateTable(pred)
+        return lambda rows: [table.truths(row) for row in rows]
+
+    def truths(rows):
+        lo = min(map(min, rows), default=0)
+        hi = max(map(max, rows), default=0)
+        table = PredicateTable(pred, lo, hi)
+        return [table.truths(row) for row in rows]
+
+    return truths
 
 
 # --- checker ------------------------------------------------------------------
@@ -347,20 +377,22 @@ def check(arrangement: Arrangement, constraint: Constraint) -> CheckReport:
                     break
                 seen[lab] = pos
         else:
-            test = _predicate_tester(spec, cl)
-            for a, b in edges:
-                vals = pair_labels(spec, cl, elems[a], elems[b])
-                bad = [v for v in vals if not test(v)]
-                if bad:
-                    viols.append(
-                        Violation(
-                            ci,
-                            (a, b),
-                            f"label {bad[0]!r} at positions ({a}, {b}) fails "
-                            f"{cl.predicate.describe()}",
-                        )
+            truths = _predicate_evaluator(spec, cl.predicate)
+            if not edges:
+                continue
+            labels = [pair_labels(spec, cl, elems[a], elems[b]) for a, b in edges]
+            flat = [v for vals in labels for v in vals]
+            bad = truths([flat])[0].find(0)
+            if bad >= 0:
+                a, b = edges[bad // len(labels[0])]
+                viols.append(
+                    Violation(
+                        ci,
+                        (a, b),
+                        f"label {flat[bad]!r} at positions ({a}, {b}) fails "
+                        f"{cl.predicate.describe()}",
                     )
-                    break
+                )
     return CheckReport(not viols, tuple(viols))
 
 
@@ -398,52 +430,111 @@ def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
             raise ValueError("first and last pins coincide")
 
 
-def _predicate_tables(spec: GroupSpec, clause: PredicateClause, elems) -> object:
-    """Build a fast truth test, backed by a dense table where possible."""
-    pred = clause.predicate
-    if isinstance(spec, (PrimeField, PrimePowerField)):
-        return _predicate_tester(spec, clause)
-    if pred.kind in MODULAR_KINDS or pred.kind == "coprime_to":
-        return PredicateTable(pred).lookup
-    # integer-valued labels: bound the label range over all pairs
-    lo, hi = None, None
-    for x in elems:
-        for y in elems:
-            if x == y:
-                continue
-            for v in pair_labels(spec, clause, x, y):
-                lo = v if lo is None or v < lo else lo
-                hi = v if hi is None or v > hi else hi
-    table = PredicateTable(pred, lo if lo is not None else 0, hi if hi is not None else 0)
-    return table.lookup
+def _row_arithmetic(spec: GroupSpec):
+    """Label arithmetic over a whole row, chosen once for the ground's spec:
+    add(s, ys) is [s + y for y in ys] and mul(x, ys) is [x * y for y in ys],
+    as group_add and group_mul give them."""
+    if isinstance(spec, Integers):
+        return (lambda s, ys: list(map(s.__add__, ys)),
+                lambda x, ys: list(map(x.__mul__, ys)))
+    if isinstance(spec, PrimeField):
+        p = spec.p
+        return (lambda s, ys: list(map(p.__rmod__, map(s.__add__, ys))),
+                lambda x, ys: list(map(p.__rmod__, map(x.__mul__, ys))))
+    if isinstance(spec, PrimePowerField):
+        return _field_row_arithmetic(spec)
+    return (lambda s, ys: [group_add(spec, s, y) for y in ys],
+            lambda x, ys: [group_mul(spec, x, y) for y in ys])
+
+
+def _field_row_arithmetic(spec: PrimePowerField):
+    """Row arithmetic over F_{p**k}.  Products go through field_view's
+    exp/log tables.  Sums add base-p digits without carry, which is XOR
+    when p = 2."""
+    fv = field_view(spec)
+    p, q = spec.p, fv.q
+    # two periods of exp, then zeros where log(0) points: exp[log x + log y]
+    # is x*y for every x != 0 and every y
+    exp = fv.exp_table * 2 + (0,) * (q - 1)
+    log = list(fv.log_table)
+    log[0] = 2 * (q - 1)
+
+    def mul(x, ys):
+        if x == 0:
+            return [0] * len(ys)
+        return list(map(exp.__getitem__, map(log[x].__add__, map(log.__getitem__, ys))))
+
+    if p == 2:
+        return (lambda s, ys: list(map(s.__xor__, ys))), mul
+
+    def add(s, ys):
+        row = ys
+        step = 1
+        while s:
+            s, d = divmod(s, p)
+            if d:
+                # the digit at step wraps past p where it is at least p - d
+                wraps = map((p - d - 1).__lt__, map(p.__rmod__, map(step.__rfloordiv__, row)))
+                row = list(map(sub, map((d * step).__add__, row), map((p * step).__mul__, wraps)))
+            step *= p
+        return list(row)
+
+    return add, mul
+
+
+def _label_rows(spec: GroupSpec, clause: PredicateClause, elems) -> list:
+    """The labels of a predicate clause on every ordered pair of elems, as
+    pair_labels gives them, one row per x: row i holds the labels of
+    (elems[i], y) for every y in elems, the diagonal included.
+    abs_diff_and_sum, with two labels per pair, adds a second block of n
+    rows."""
+    lb = clause.labeler
+    if lb in _INTEGER_ONLY_LABELERS:
+        _require_int_elements(spec, lb)
+        if lb == LB_ABS_DIFF_AND_SUM:
+            return [list(map(abs, map(x.__sub__, elems))) for x in elems] + [
+                list(map(x.__add__, elems)) for x in elems
+            ]
+        if lb == LB_SQUARE_MINUS:
+            return [list(map((x * x).__sub__, elems)) for x in elems]
+        if lb == LB_ABS_SQUARE_DIFF:
+            squares = [y * y for y in elems]
+            return [list(map(abs, map((x * x).__sub__, squares))) for x in elems]
+        one = 1 if lb == LB_TWO_PRODUCT_PLUS_ONE else -1
+        return [list(map(one.__add__, map((2 * x).__mul__, elems))) for x in elems]
+    add, mul = _row_arithmetic(spec)
+    if lb == LB_SUM:
+        return [add(x, elems) for x in elems]
+    if lb == LB_DIFF:
+        negs = [group_neg(spec, y) for y in elems]
+        return [add(x, negs) for x in elems]
+    if lb == LB_SQUARE_PLUS:
+        return [add(group_mul(spec, x, x), elems) for x in elems]
+    products = [mul(x, elems) for x in elems]
+    c = clause.a0 if lb == LB_AFFINE_PRODUCT else group_neg(spec, 1)
+    return [add(c, row) for row in products]
+
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _compile_adjacency(spec, elems, pclauses):
     """Directed adjacency bitmasks from the conjunction of the predicate
     clauses.  out_mask[i] bit j set means the directed edge elems[i] ->
-    elems[j] is allowed."""
+    elems[j] is allowed.  Each clause's labels come a row at a time, their
+    truths from the one evaluator, and a row of truths becomes a bitmask in
+    one step."""
     n = len(elems)
-    testers = []
-    for cl in pclauses:
-        test = _predicate_tables(spec, cl, elems)
-        testers.append((cl, test))
-    out_mask = [0] * n
-    in_mask = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            ok = True
-            for cl, test in testers:
-                for v in pair_labels(spec, cl, elems[i], elems[j]):
-                    if not test(v):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out_mask[i] |= 1 << j
-                in_mask[j] |= 1 << i
+    evaluators = [_predicate_evaluator(spec, cl.predicate) for cl in pclauses]
+    out_mask = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    if n == 1:
+        return out_mask, out_mask  # no pairs, so no labels
+    for cl, truths in zip(pclauses, evaluators):
+        for i, row in enumerate(truths(_label_rows(spec, cl, elems))):
+            out_mask[i % n] &= int(row.translate(_BIT_CHARS)[::-1], 2)
+    # transpose: in_mask[j] bit i is out_mask[i] bit j
+    bits = [format(m, f"0{n}b") for m in out_mask]
+    in_mask = [int("".join(col)[::-1], 2) for col in zip(*bits)][::-1]
     return out_mask, in_mask
 
 
@@ -519,7 +610,10 @@ def search(
     # (unused set, tail), so proven-dead subproblems are memoized and skipped
     # on revisit.  Sound: only failure is cached, never witnesses, so the
     # first witness (and any witness count) is unchanged.  The orientation
-    # filter consults path[1], which is folded into the key when active.
+    # filter consults path[1], which is folded into the key when active.  A
+    # circle closes back to path[0], so run() empties the memo whenever the
+    # start changes (a last pin alone): an entry made under one start could
+    # never be hit under another.
     memo_failures = not trackers and out_mask is not None
     failed: set = set()
 
@@ -698,13 +792,12 @@ def search(
             path[0] = 0
             accept()
             return
-        if circular:
-            start = first_idx if first_idx is not None else 0
-            starts = [start]
-        elif first_idx is not None:
+        if first_idx is not None:
             starts = [first_idx]
+        elif circular and last_idx is None:
+            starts = [0]
         else:
-            starts = [i for i in range(n) if last_idx is None or i != last_idx]
+            starts = [i for i in range(n) if i != last_idx]
         for s in starts:
             nodes += 1
             if nodes > budget:
@@ -712,6 +805,8 @@ def search(
                 return
             path[0] = s
             unused = full_mask ^ (1 << s)
+            if circular:
+                failed.clear()
             if prune and not degree_prune_ok(unused, s, unused):
                 continue
             if extend(1, unused):

@@ -234,6 +234,27 @@ class TestPredicates:
                 k = rng.randint(-50, 400)
                 assert table.lookup(k) == predicate_allows(spec, k), (spec, k)
 
+    def test_range_table_covers_negative_arguments(self):
+        # k + 10 is prime for k = -3, -7, -9: the table must not read every
+        # negative k as false
+        spec = PredicateSpec("prime_shift", (1, 10))
+        table = PredicateTable(spec, -30, 30)
+        for k in range(-30, 31):
+            assert table.lookup(k) == predicate_allows(spec, k), k
+
+    def test_truths_match_lookup_inside_and_outside_the_table(self):
+        for spec, lo, hi in (
+            (PredicateSpec("prime_shift", (3, -4)), -5, 40),
+            (PredicateSpec("twin_index"), 0, 30),
+            (PredicateSpec("coprime_to", (0,)), 0, 0),
+            (PredicateSpec("quadratic_residue_mod", (13,)), 0, 0),
+        ):
+            table = PredicateTable(spec, lo, hi)
+            labels = list(range(lo - 20, hi + 20, 3))
+            expected = bytes(predicate_allows(spec, k) for k in labels)
+            assert table.truths(labels) == expected, spec
+            assert table.truths(labels[5:9]) == expected[5:9], spec
+
     def test_bad_specs(self):
         with pytest.raises(ValueError):
             PredicateSpec("prime_shift", (0, 1))

@@ -13,16 +13,21 @@ from permlab.algebra import (
     GroundSet,
     Integers,
     PrimeField,
+    PrimePowerField,
+    field_spec_for,
+    field_view,
 )
-from permlab.numtheory import PredicateSpec
+from permlab.numtheory import MODULAR_KINDS, PredicateSpec, predicate_allows
 from permlab.search import (
     Constraint,
     PredicateClause,
     RainbowClause,
+    _compile_adjacency,
     brute_force_enumerate,
     canonical_form,
     check,
     check_pair_numbering,
+    pair_labels,
     search,
     search_pair_numbering,
 )
@@ -145,6 +150,25 @@ class TestSearchBasics:
             out = search(ints(*range(n)), CIRCULAR, rainbow("distance"))
             if out.status == "witness":
                 assert check(out.witness, rainbow("distance")).ok
+
+
+class TestPinnedStarts:
+    def test_last_pin_alone_tries_every_start(self):
+        # both circles end at 11, and neither has the minimum right after it
+        g = ints(0, 3, 8, 11)
+        cons = rainbow("diff", last=11)
+        out = search(g, CIRCULAR, cons, count_witnesses=True)
+        assert out.status == "witness"
+        assert out.witness.elements == (3, 0, 8, 11)
+        assert out.witness_count == brute_force_enumerate(g, CIRCULAR, cons)[0] == 2
+
+    def test_last_pin_alone_with_predicate_memo(self):
+        # predicate-only, so the failure memo is on while the start varies;
+        # a subproblem that fails under one start can complete under the next
+        g = ints(1, 2, 4, 6, 12)
+        cons = predicate("coprime_to", (6,), "product_minus_one", last=4)
+        out = search(g, CIRCULAR, cons, count_witnesses=True)
+        assert out.witness_count == brute_force_enumerate(g, CIRCULAR, cons)[0] == 12
 
 
 class TestDeterminism:
@@ -317,6 +341,202 @@ class TestDifferentialFence:
         if expected is not None:
             assert out.witness_count == expected
             assert brute_force_enumerate(ground, shape, cons)[0] == expected
+
+
+_FIELD_ORDERS = (5, 7, 8, 9, 11)  # F_5, F_7, F_11, and F_8, F_9 as polynomials
+_FIELD_LABELERS = ("sum", "diff", "square_plus", "affine_product")
+
+
+@st.composite
+def field_conjunctions(draw):
+    """A small instance over a field ground: up to 6 elements of F_q, either
+    shape, a modular predicate clause over q, and possibly a rainbow clause."""
+    q = draw(st.sampled_from(_FIELD_ORDERS))
+    spec = field_spec_for(q)
+    n = draw(st.integers(1, min(q, 6)))
+    vals = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n, unique=True))
+    labeler = draw(st.sampled_from(_FIELD_LABELERS))
+    a0 = draw(st.integers(0, q - 1)) if labeler == "affine_product" else None
+    kind = draw(st.sampled_from(MODULAR_KINDS))
+    clauses = [PredicateClause(PredicateSpec(kind, (q,)), labeler, a0=a0)]
+    if draw(st.booleans()):
+        clauses.append(RainbowClause(draw(st.sampled_from(("sum", "diff", "product", "triple")))))
+    shape = draw(st.sampled_from([LINEAR, CIRCULAR]))
+    if shape == CIRCULAR and n == 2 and any(isinstance(c, RainbowClause) and c.kind == "triple"
+                                             for c in clauses):
+        shape = LINEAR
+    return GroundSet(spec, tuple(vals)), shape, Constraint(tuple(draw(st.permutations(clauses))))
+
+
+@st.composite
+def pinned_or_field_conjunctions(draw):
+    """An integer, Z/m or field instance with a first pin, a last pin, both
+    or (for fields) neither, on at most 6 elements."""
+    if draw(st.booleans()):
+        ground, shape, cons = draw(field_conjunctions())
+        pins = draw(st.sampled_from((None, "first", "last", "both")))
+    else:
+        ground, shape, cons = draw(conjunctions().filter(lambda inst: len(inst[0]) <= 6))
+        pins = draw(st.sampled_from(("first", "last", "both")))
+    vals = ground.elements
+    first = last = None
+    if pins in ("first", "both"):
+        first = draw(st.sampled_from(vals))
+    if pins in ("last", "both"):
+        others = [v for v in vals if v != first] or list(vals)
+        last = draw(st.sampled_from(others))
+    return ground, shape, Constraint(cons.clauses, first=first, last=last)
+
+
+class TestDifferentialFenceWide:
+    """The fence of TestDifferentialFence over pinned searches and field
+    grounds, prime and prime-power."""
+
+    @given(pinned_or_field_conjunctions())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_counts_match_brute_force(self, instance):
+        ground, shape, cons = instance
+        out = search(ground, shape, cons, count_witnesses=True)
+        expected, _ = brute_force_enumerate(ground, shape, cons)
+        count = out.witness_count
+        if shape == LINEAR and cons.reversal_symmetric and not cons.pinned and len(ground) > 1:
+            # the kernel walks both directions of a line, the oracle keeps one
+            assert count % 2 == 0
+            count //= 2
+        assert count == expected
+        assert (out.status == "witness") == (expected > 0)
+
+
+def _reference_out_masks(spec, elems, clauses):
+    """out_mask pair by pair, from pair_labels and the predicates'
+    definitions: predicate_allows, or field_view's classes for a modular
+    predicate over a field."""
+
+    def holds(pred, v):
+        if isinstance(spec, (PrimeField, PrimePowerField)) and pred.kind in MODULAR_KINDS:
+            fv = field_view(spec)
+            return {
+                "primitive_root_mod": fv.is_primitive,
+                "quadratic_residue_mod": fv.in_squares,
+                "quadratic_nonresidue_mod": fv.in_nonsquares,
+            }[pred.kind](v)
+        return predicate_allows(pred, v)
+
+    n = len(elems)
+    return [
+        sum(
+            1 << j
+            for j in range(n)
+            if j != i
+            and all(holds(cl.predicate, v) for cl in clauses
+                    for v in pair_labels(spec, cl, elems[i], elems[j]))
+        )
+        for i in range(n)
+    ]
+
+
+_INTEGER_PREDICATES = (
+    PredicateSpec("prime"),
+    PredicateSpec("prime_shift", (2, 1)),
+    PredicateSpec("prime_shift", (1, 10)),  # negative labels can pass
+    PredicateSpec("prime_shift", (3, -4)),
+    PredicateSpec("twin_index"),
+    PredicateSpec("sophie_germain_index"),
+    PredicateSpec("coprime_to", (0,)),
+    PredicateSpec("coprime_to", (1,)),
+    PredicateSpec("coprime_to", (6,)),
+    PredicateSpec("primitive_root_mod", (11,)),
+    PredicateSpec("quadratic_residue_mod", (7,)),
+    PredicateSpec("quadratic_nonresidue_mod", (13,)),
+)
+_ALL_LABELERS = (
+    "sum", "diff", "abs_diff_and_sum", "square_plus", "square_minus", "product_minus_one",
+    "two_product_minus_one", "two_product_plus_one", "affine_product", "abs_square_diff",
+)
+_FIELD_ARITHMETIC_LABELERS = ("sum", "diff", "square_plus", "product_minus_one", "affine_product")
+
+
+def _clause(pred, labeler, a0):
+    return PredicateClause(pred, labeler, a0=a0 if labeler == "affine_product" else None)
+
+
+def _assert_masks_match(spec, elems, clauses):
+    elems = sorted(elems)
+    out_mask, in_mask = _compile_adjacency(spec, elems, clauses)
+    assert out_mask == _reference_out_masks(spec, elems, clauses), (spec, elems, clauses)
+    n = len(elems)
+    for i in range(n):
+        for j in range(n):
+            assert (in_mask[j] >> i & 1) == (out_mask[i] >> j & 1)
+
+
+class TestAdjacencyCompile:
+    """The row-at-a-time adjacency against a pair-by-pair reference."""
+
+    # negatives, zero, multiples of 7, 11 and 13, and a gap
+    INTEGER_GROUND = (-13, -7, -4, -1, 0, 2, 3, 7, 11, 13, 22, 39)
+
+    @pytest.mark.parametrize("labeler", _ALL_LABELERS)
+    def test_integers_every_labeler_and_predicate(self, labeler):
+        for pred in _INTEGER_PREDICATES:
+            _assert_masks_match(Z, self.INTEGER_GROUND, [_clause(pred, labeler, 5)])
+
+    def test_integers_beyond_the_dense_span(self):
+        # labels spread over more than the dense table cap are evaluated one
+        # by one
+        ground = (-3, 0, 1, 2, 10**7, 10**7 + 1)
+        for pred in (PredicateSpec("prime"), PredicateSpec("prime_shift", (1, 10))):
+            for labeler in ("sum", "diff", "abs_diff_and_sum"):
+                _assert_masks_match(Z, ground, [_clause(pred, labeler, 0)])
+
+    @pytest.mark.parametrize("q", [7, 11, 8, 16, 9, 27])
+    def test_fields(self, q):
+        spec = field_spec_for(q)
+        ground = range(q) if q < 16 else range(0, q, 3)
+        for kind in MODULAR_KINDS:
+            for labeler in _FIELD_ARITHMETIC_LABELERS:
+                for a0 in (0, 1, q - 1):
+                    pred = PredicateSpec(kind, (q,))
+                    _assert_masks_match(spec, ground, [_clause(pred, labeler, a0)])
+
+    def test_prime_field_integer_predicates(self):
+        spec = PrimeField(13)
+        for pred in _INTEGER_PREDICATES:
+            if pred.kind in MODULAR_KINDS:
+                continue  # over a field these must be mod 13, as in test_fields
+            for labeler in _FIELD_ARITHMETIC_LABELERS:
+                _assert_masks_match(spec, range(1, 13), [_clause(pred, labeler, 4)])
+
+    def test_cyclic_product(self):
+        spec = CyclicProduct((12,))
+        for pred in _INTEGER_PREDICATES:
+            for labeler in ("sum", "diff"):
+                _assert_masks_match(spec, (0, 1, 2, 5, 6, 7, 11), [_clause(pred, labeler, 0)])
+
+    def test_conjunction_of_clauses(self):
+        clauses = [
+            PredicateClause(PredicateSpec("coprime_to", (6,)), "sum"),
+            PredicateClause(PredicateSpec("prime_shift", (1, 10)), "diff"),
+            PredicateClause(PredicateSpec("quadratic_nonresidue_mod", (13,)), "square_minus"),
+        ]
+        _assert_masks_match(Z, self.INTEGER_GROUND, clauses)
+
+    def test_invalid_instances_raise(self):
+        with pytest.raises(ValueError, match="needs plain integer elements"):
+            _compile_adjacency(PrimeField(7), [1, 2], [_clause(PredicateSpec("prime"), "square_minus", 0)])
+        with pytest.raises(ValueError, match="!= field size"):
+            _compile_adjacency(PrimeField(7), [1, 2],
+                               [_clause(PredicateSpec("primitive_root_mod", (11,)), "sum", 0)])
+        with pytest.raises(ValueError, match="is not defined over"):
+            _compile_adjacency(field_spec_for(9), [1, 2], [_clause(PredicateSpec("prime"), "sum", 0)])
+
+    def test_negative_shifted_prime_labels_reach_the_search(self):
+        # 4 - 7 = -3 and -3 + 10 = 7 is prime: a search that drops negative
+        # labels from the table misses this circle
+        g = ints(4, 5, 6, 7)
+        cons = predicate("prime_shift", (1, 10), "diff")
+        out = search(g, CIRCULAR, cons, count_witnesses=True)
+        assert out.witness_count == brute_force_enumerate(g, CIRCULAR, cons)[0] == 1
 
 
 class TestPairNumbering:
