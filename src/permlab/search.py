@@ -8,7 +8,21 @@ first witness, the node count and the outcome of a search are stable
 artifacts of the tool.  A node is one attempted placement: a candidate that
 survives static prefiltering (predicate adjacency lists, pin reservations,
 orientation canonicalization) and is tested against the incremental
-constraint state.  Budgets are measured in nodes, never wall time.
+constraint state.  Budgets are measured in nodes, never wall time.  The walk
+is depth first over an explicit stack of levels, so the length of an
+arrangement has no recursion limit.
+
+Pruning
+-------
+Prunes only skip subtrees that cannot complete, so they lower node counts
+and never change a first witness or a witness count.  Searches with
+predicate clauses and no rainbow clause remember the (unused set, tail)
+subproblems that failed.  Circular predicate searches on three or more
+elements also test, after each placement and in this order: a degree bound
+on every vertex whose partners changed; a cycle cover, a perfect matching of
+{tail} + unused onto unused + {start} kept across the walk and repaired at
+each node (the rest of a circle is one); and reachability from the tail and
+back to the start.
 
 Symmetry reduction
 ------------------
@@ -26,6 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from operator import sub
 
 from .algebra import (
@@ -516,6 +531,7 @@ def _label_rows(spec: GroupSpec, clause: PredicateClause, elems) -> list:
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _compile_adjacency(spec, elems, pclauses):
@@ -581,7 +597,10 @@ def search(
 
     if pclauses:
         out_mask, in_mask = _compile_adjacency(spec, elems, pclauses)
-        nbr_out = [[j for j in range(n) if out_mask[i] >> j & 1] for i in range(n)]
+        nbr_out = [
+            list(compress(range(n), format(m, f"0{n}b").encode().translate(_BIT_VALUES)[::-1]))
+            for m in out_mask
+        ]
     else:
         out_mask = in_mask = None
         nbr_out = None
@@ -604,7 +623,7 @@ def search(
     # circle closes, so the windows that wrap around read straight through
     path = [0] * (n + 2)
     full_mask = (1 << n) - 1
-    # predecessor/successor feasibility argument needs cycles of length >= 3
+    # the degree, cycle-cover and reachability prunes need cycles of length >= 3
     prune = circular and out_mask is not None and n >= 3
     # Without rainbow state, whether a subtree can complete depends only on
     # (unused set, tail), so proven-dead subproblems are memoized and skipped
@@ -616,6 +635,14 @@ def search(
     # never be hit under another.
     memo_failures = not trackers and out_mask is not None
     failed: set = set()
+    # The cycle cover: a perfect matching of the sources {tail} + unused onto
+    # the targets unused + {start}, as mt[source] = target and ms[target] =
+    # source.  The rest of a circle is one, so a subtree without one is dead
+    # (Hall's theorem).  Every write is logged as (source, old target,
+    # target, old source), and a backtrack replays the log down to its mark.
+    mt = [-1] * n
+    ms = [-1] * n
+    log: list = []
 
     def admit(ends):
         """Record, for every rainbow clause, the label of each window that
@@ -665,43 +692,110 @@ def search(
                 return False
         return True
 
+    def augment(a, targets, free) -> int:
+        """Kuhn's augmenting search, depth first, from the unmatched source
+        a through matched targets to a target in free.  Rematches the path
+        it finds, logging every write, and returns the free target taken;
+        -1 when there is no such path."""
+        sources = [a]
+        options = [out_mask[a] & targets]
+        seen = 0
+        while sources:
+            c = options[-1]
+            hit = c & free
+            if hit:
+                t = taken = (hit & -hit).bit_length() - 1
+                for u in reversed(sources):
+                    old = mt[u]
+                    log.append((u, old, t, ms[t]))
+                    mt[u] = t
+                    ms[t] = u
+                    t = old
+                return taken
+            c &= ~seen
+            if not c:
+                sources.pop()
+                options.pop()
+                continue
+            b = c & -c
+            options[-1] = c ^ b
+            seen |= b
+            u = ms[b.bit_length() - 1]
+            sources.append(u)
+            options.append(out_mask[u] & targets & ~seen)
+        return -1
+
+    def root_cover() -> bool:
+        """Match every vertex to a successor, greedily and then by
+        augmentation: the cover at the root, whatever the start.  False
+        when there is none, so no start can close a circle."""
+        free = full_mask
+        for u in range(n):
+            c = out_mask[u] & free
+            if c:
+                b = c & -c
+                free ^= b
+                mt[u] = t = b.bit_length() - 1
+                ms[t] = u
+        for u in range(n):
+            if mt[u] < 0:
+                t = augment(u, full_mask, free)
+                if t < 0:
+                    return False
+                free ^= 1 << t
+        log.clear()
+        return True
+
+    def cover_ok(prev, j, targets) -> bool:
+        """Repair the parent's cover after placing prev -> j, which takes
+        source prev and target j out; targets are the child's.  Keep it when
+        prev was matched to j; else match j's source a straight to prev's
+        target b when a -> b is an edge; else augment from a to b."""
+        b = mt[prev]
+        if b == j:
+            return True
+        a = ms[j]
+        if out_mask[a] >> b & 1:
+            log.append((a, j, b, prev))
+            mt[a] = b
+            ms[b] = a
+            return True
+        return augment(a, targets, 1 << b) >= 0
+
+    def undo(mark):
+        while len(log) > mark:
+            u, t_old, t, u_old = log.pop()
+            mt[u] = t_old
+            ms[t] = u_old
+
     def reach_prune_ok(unused, tail) -> bool:
         """Circular-mode fail-fast: the cycle must still thread tail -> all
         unused -> start, so every unused vertex has to be reachable from the
         tail through unused vertices only, and the start has to stay
-        reachable; symmetrically backwards.  Sound, so the first witness is
+        reachable; symmetrically backwards.  Each sweep stops as soon as it
+        has reached its whole target set.  Sound, so the first witness is
         unchanged; it only skips provably dead subtrees."""
-        start_bit = 1 << path[0]
-        target = unused | start_bit
-        seen = out_mask[tail] & target
-        frontier = seen & unused
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= out_mask[b.bit_length() - 1]
-            frontier = nxt & target & ~seen
-            seen |= frontier
-            frontier &= unused
-        if seen != target:
-            return False
-        tail_bit = 1 << tail
-        target = unused | tail_bit
-        seen = in_mask[path[0]] & target
-        frontier = seen & unused
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= in_mask[b.bit_length() - 1]
-            frontier = nxt & target & ~seen
-            seen |= frontier
-            frontier &= unused
-        return seen == target
+        start = path[0]
+        for masks, frm, target in (
+            (out_mask, tail, unused | 1 << start),
+            (in_mask, start, unused | 1 << tail),
+        ):
+            seen = masks[frm] & target
+            frontier = seen & unused
+            while seen != target:
+                if not frontier:
+                    return False
+                reached = seen
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    reached |= masks[b.bit_length() - 1]
+                    if reached & target == target:
+                        break
+                reached &= target
+                frontier = (reached ^ seen) & unused
+                seen = reached
+        return True
 
     def accept() -> bool:
         """Called with a full path; returns True to stop the search."""
@@ -733,54 +827,92 @@ def search(
         retract(wrapped)
         return stop
 
-    def extend(k, unused) -> bool:
+    def candidates(prev, unused):
+        if nbr_out is not None:
+            return iter([j for j in nbr_out[prev] if unused >> j & 1])
+        return iter([j for j in range(n) if unused >> j & 1])
+
+    def extend(unused) -> bool:
+        """Walk every completion of the path that holds path[0], depth first
+        and in candidate order; returns True to stop the search.  The walk
+        keeps an explicit stack of levels, (k, unused, candidate iterator,
+        memo key, count at entry, added labels, undo mark), so it has no
+        depth limit."""
         nonlocal nodes, over
-        prev = path[k - 1]
+        k = 1
+        prev = path[0]
+        key = None
         if memo_failures:
             key = (unused, prev, path[1]) if sym_reduce else (unused, prev)
             if key in failed:
                 return False
-        if nbr_out is not None:
-            base = [j for j in nbr_out[prev] if unused >> j & 1]
-        else:
-            base = [j for j in range(n) if unused >> j & 1]
+        cands = candidates(prev, unused)
         count_at_entry = count
-        last_pos = k == n - 1
-        for j in base:
-            if last_idx is not None:
-                if last_pos != (j == last_idx):
+        mark = len(log)
+        levels = []
+        while True:
+            last_pos = k == n - 1
+            for j in cands:
+                if last_idx is not None:
+                    if last_pos != (j == last_idx):
+                        continue
+                if last_pos and sym_reduce and j < path[1]:
                     continue
-            if last_pos and sym_reduce and j < path[1]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                over = True
-                return True
-            path[k] = j
-            added = None
-            if trackers:
-                added = admit((k,))
-                if added is None:
-                    continue
-            if last_pos:
-                stop = close() if circular else accept()
-                if stop:
+                nodes += 1
+                if nodes > budget:
+                    over = True
                     return True
+                path[k] = j
+                added = None
+                if trackers:
+                    added = admit((k,))
+                    if added is None:
+                        continue
+                if last_pos:
+                    if close() if circular else accept():
+                        return True
+                else:
+                    nxt = unused ^ (1 << j)
+                    # Only prev's successors lose a predecessor (prev is no
+                    # longer the tail) and only j's predecessors lose a
+                    # successor (j is no longer unused), so only their
+                    # degrees can fall below the bound.
+                    if not prune or (
+                        degree_prune_ok(nxt, j, (out_mask[prev] | in_mask[j]) & nxt)
+                        and cover_ok(prev, j, nxt | 1 << path[0])
+                        and reach_prune_ok(nxt, j)
+                    ):
+                        child = None
+                        if memo_failures:
+                            child = (nxt, j, path[1]) if sym_reduce else (nxt, j)
+                        if child is None or child not in failed:
+                            levels.append((k, unused, cands, key, count_at_entry, added, mark))
+                            k += 1
+                            prev = j
+                            unused = nxt
+                            key = child
+                            cands = candidates(prev, unused)
+                            count_at_entry = count
+                            mark = len(log)
+                            break
+                    if prune:
+                        undo(mark)
+                if added:
+                    retract(added)
             else:
-                nxt = unused ^ (1 << j)
-                ok = True
+                # every candidate at position k is done
+                if memo_failures and count == count_at_entry:
+                    if len(failed) >= _MEMO_CAP:
+                        failed.clear()
+                    failed.add(key)
+                if not levels:
+                    return False
+                k, unused, cands, key, count_at_entry, added, mark = levels.pop()
+                prev = path[k - 1]
                 if prune:
-                    affected = (in_mask[j] | out_mask[j] | in_mask[prev] | out_mask[prev]) & nxt
-                    ok = degree_prune_ok(nxt, j, affected) and reach_prune_ok(nxt, j)
-                if ok and extend(k + 1, nxt):
-                    return True
-            if added:
-                retract(added)
-        if memo_failures and not over and count == count_at_entry:
-            if len(failed) >= _MEMO_CAP:
-                failed.clear()
-            failed.add(key)
-        return False
+                    undo(mark)
+                if added:
+                    retract(added)
 
     def run() -> None:
         nonlocal nodes, over
@@ -798,6 +930,7 @@ def search(
             starts = [0]
         else:
             starts = [i for i in range(n) if i != last_idx]
+        covered = prune and root_cover()
         for s in starts:
             nodes += 1
             if nodes > budget:
@@ -807,9 +940,12 @@ def search(
             unused = full_mask ^ (1 << s)
             if circular:
                 failed.clear()
-            if prune and not degree_prune_ok(unused, s, unused):
-                continue
-            if extend(1, unused):
+            if prune:
+                if not covered:
+                    return
+                if not degree_prune_ok(unused, s, unused):
+                    continue
+            if extend(unused):
                 return
 
     run()
@@ -822,10 +958,6 @@ def search(
 
 
 # --- brute force oracle ---------------------------------------------------------
-
-
-def _satisfies(arr: Arrangement, constraint: Constraint) -> bool:
-    return check(arr, constraint).ok
 
 
 def brute_force_enumerate(
@@ -855,7 +987,7 @@ def brute_force_enumerate(
         cands = (list(p) for p in permutations(elems))
     for seq in cands:
         arr = Arrangement(spec, shape, tuple(seq))
-        if not _satisfies(arr, constraint):
+        if not check(arr, constraint).ok:
             continue
         canon = canonical_form(arr, constraint).elements
         if canon in seen:

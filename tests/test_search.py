@@ -407,6 +407,126 @@ class TestDifferentialFenceWide:
         assert (out.status == "witness") == (expected > 0)
 
 
+# (predicate, labeler) pairs whose graphs on a few small integers are
+# sparse, yet often enough have a circle
+_SPARSE_CLAUSES = (
+    (PredicateSpec("coprime_to", (6,)), "product_minus_one"),
+    (PredicateSpec("coprime_to", (10,)), "product_minus_one"),
+    (PredicateSpec("prime_shift", (2, 1)), "sum"),
+    (PredicateSpec("quadratic_nonresidue_mod", (11,)), "sum"),
+    (PredicateSpec("quadratic_nonresidue_mod", (11,)), "diff"),
+    (PredicateSpec("quadratic_residue_mod", (7,)), "sum"),
+    (PredicateSpec("quadratic_residue_mod", (7,)), "diff"),
+    (PredicateSpec("quadratic_residue_mod", (7,)), "square_plus"),
+)
+
+
+@st.composite
+def sparse_circles(draw):
+    """A circular predicate instance on 4 to 8 integers, possibly pinned
+    below 8: sparse successor graphs, where the cycle cover cuts subtrees
+    (or the whole tree) that the degree and reachability prunes let
+    through, and where the root matching needs augmenting paths."""
+    n = draw(st.integers(4, 8))
+    vals = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
+    pred, labeler = draw(st.sampled_from(_SPARSE_CLAUSES))
+    first = last = None
+    if n < 8:  # brute force keeps every rotation under a last pin
+        first = draw(st.none() | st.sampled_from(vals))
+        last = draw(st.none() | st.sampled_from([v for v in vals if v != first]))
+    cons = Constraint((PredicateClause(pred, labeler),), first=first, last=last)
+    return GroundSet(Z, tuple(vals)), cons
+
+
+def _degree_and_reach_hold(out_mask, in_mask):
+    """What the degree and reachability prunes ask of the whole ground at
+    the root: every vertex has a successor, a predecessor and two distinct
+    partners, and every vertex reaches every other."""
+    n = len(out_mask)
+    if any(not o or not i or (o | i).bit_count() < 2 for o, i in zip(out_mask, in_mask)):
+        return False
+    for masks in (out_mask, in_mask):
+        seen = frontier = 1
+        while frontier:
+            reached = 0
+            for v in range(n):
+                if frontier >> v & 1:
+                    reached |= masks[v]
+            frontier = reached & ~seen
+            seen |= frontier
+        if seen != (1 << n) - 1:
+            return False
+    return True
+
+
+class TestCycleCover:
+    """The cycle-cover prune: the rest of a circle matches tail + unused
+    onto unused + start, so a search without such a perfect matching is
+    dead.  Counts must still agree with brute force."""
+
+    def test_root_without_cover(self):
+        # prime sums alternate parity around a circle, and 4 even elements
+        # have only 3 odd successors; every vertex still has two partners
+        # and the graph is strongly connected
+        ground = ints(0, 1, 4, 5, 6, 10, 13)
+        cons = predicate("prime")
+        elems = sorted(ground.elements)
+        out_mask, in_mask = _compile_adjacency(Z, elems, list(cons.clauses))
+        assert _degree_and_reach_hold(out_mask, in_mask)
+        out = search(ground, CIRCULAR, cons, count_witnesses=True)
+        assert out.status == "exhausted"
+        assert out.witness_count == 0
+        assert out.nodes == 1
+        assert brute_force_enumerate(ground, CIRCULAR, cons)[0] == 0
+        # a line needs no cover, and there is one
+        assert search(ground, LINEAR, cons).status == "witness"
+
+    def test_augmenting_root(self):
+        # the greedy root matching leaves two sources unmatched, and the
+        # augmentations must end on two different free targets
+        ground = ints(0, 1, 2, 3, 4, 5, 6, 7)
+        cons = Constraint((PredicateClause(PredicateSpec("prime"), "sum"),))
+        out = search(ground, CIRCULAR, cons, count_witnesses=True)
+        assert out.witness_count == brute_force_enumerate(ground, CIRCULAR, cons)[0]
+
+    def test_quarter_primes_n22_exhausted(self):
+        # 3.17i at n = 22: the 8 targets 1, 4, ..., 22 have only the 7
+        # predecessors 0, 3, ..., 18
+        from permlab.conjectures import run_instance
+
+        rec = run_instance("3.17i", {"n": 22})
+        assert rec.status == "exhausted"
+        assert rec.nodes >= 1
+
+    @given(sparse_circles())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_sparse_counts_match_brute_force(self, instance):
+        ground, cons = instance
+        out = search(ground, CIRCULAR, cons, count_witnesses=True)
+        expected, _ = brute_force_enumerate(ground, CIRCULAR, cons)
+        assert out.witness_count == expected
+        assert (out.status == "witness") == (expected > 0)
+
+
+class TestDeepSearches:
+    """The walk keeps its own stack, so a long path needs no deep recursion."""
+
+    @pytest.mark.parametrize(
+        "shape, clause",
+        [
+            (LINEAR, PredicateClause(PredicateSpec("coprime_to", (1,)), "sum")),
+            (CIRCULAR, PredicateClause(PredicateSpec("coprime_to", (1,)), "sum")),
+            (LINEAR, RainbowClause("sum")),
+        ],
+    )
+    def test_twelve_hundred_elements(self, shape, clause):
+        ground = GroundSet(Z, tuple(range(1200)))
+        cons = Constraint((clause,))
+        out = search(ground, shape, cons)
+        assert out.status == "witness"
+        assert check(out.witness, cons).ok
+
+
 def _reference_out_masks(spec, elems, clauses):
     """out_mask pair by pair, from pair_labels and the predicates'
     definitions: predicate_allows, or field_view's classes for a modular
