@@ -23,6 +23,7 @@ from .algebra import (
     group_neg,
     group_sub,
     is_ordered,
+    validate_element,
 )
 from .numtheory import (
     PredicateSpec,
@@ -192,8 +193,6 @@ def _check_ordered_input(spec: GroupSpec, values, minimum: int):
     if len(vals) < minimum:
         raise ValueError(f"need more than {minimum - 1} values, got {len(vals)}")
     for v in vals:
-        from .algebra import validate_element
-
         validate_element(spec, v)
     return vals
 

@@ -24,6 +24,18 @@ on every vertex whose partners changed; a cycle cover, a perfect matching of
 each node (the rest of a circle is one); and reachability from the tail and
 back to the start.
 
+Label arithmetic
+----------------
+The kernel names elements by ints where it can: the element itself over
+the integers, Z/m and the fields, its mixed-radix rank over a multi-rank
+CyclicProduct (integer vectors stay tuples).  Rainbow labels are computed on
+these names when a search starts, a row of pair labels per element.  A
+triple window (a, b, c) reads the pair sum of a and b there and adds c
+through a row of c filled as its labels are first met, so that row holds
+only the labels the search visits.  check() shares none of this: it
+recomputes every label from the elements with rainbow_label and
+rainbow_triple_label.
+
 Symmetry reduction
 ------------------
 Circular searches without pins fix the smallest element at position zero.
@@ -47,10 +59,12 @@ from .algebra import (
     CIRCULAR,
     LINEAR,
     Arrangement,
+    CyclicProduct,
     Element,
     GroundSet,
     GroupSpec,
     Integers,
+    IntegerVectors,
     PrimeField,
     PrimePowerField,
     field_view,
@@ -219,6 +233,10 @@ def _require_int_elements(spec: GroupSpec, labeler: str):
         raise ValueError(f"labeler {labeler!r} needs plain integer elements")
 
 
+def _multi_rank(spec: GroupSpec) -> bool:
+    return isinstance(spec, CyclicProduct) and len(spec.moduli) > 1
+
+
 def pair_labels(spec: GroupSpec, clause: PredicateClause, x: Element, y: Element) -> tuple:
     """The label value(s) a predicate clause derives from the directed edge
     (x, y).  Most labelers give one value; abs_diff_and_sum gives two."""
@@ -314,7 +332,7 @@ def _predicate_evaluator(spec: GroupSpec, pred: PredicateSpec):
     if isinstance(spec, (PrimeField, PrimePowerField)) and pred.kind in MODULAR_KINDS:
         table = _field_table(spec, pred)
         return lambda rows: [bytes(map(table.__getitem__, row)) for row in rows]
-    if isinstance(spec, PrimePowerField):
+    if isinstance(spec, (PrimePowerField, IntegerVectors)) or _multi_rank(spec):
         raise ValueError(f"predicate {pred.kind} is not defined over {spec!r}")
     if pred.kind in MODULAR_KINDS or pred.kind == "coprime_to":
         table = PredicateTable(pred)
@@ -445,56 +463,108 @@ def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
             raise ValueError("first and last pins coincide")
 
 
+def _mixed_radix(moduli) -> list:
+    """(weight, base) of each digit of a mixed-radix rank over the given
+    moduli, in their order; the last digit weighs 1."""
+    radix, w = [], 1
+    for m in reversed(moduli):
+        radix.append((w, m))
+        w *= m
+    return radix[::-1]
+
+
+def _ranks(spec: GroupSpec, xs) -> list:
+    """The names the kernel's label arithmetic gives elements: the element
+    itself, save over a multi-rank CyclicProduct, whose elements are ranked
+    in mixed radix, so that ranks sort as the tuples do."""
+    if not _multi_rank(spec):
+        return xs
+    weights = [w for w, _ in _mixed_radix(spec.moduli)]
+    return [sum(map(int.__mul__, x, weights)) for x in xs]
+
+
+@lru_cache(maxsize=64)
 def _row_arithmetic(spec: GroupSpec):
-    """Label arithmetic over a whole row, chosen once for the ground's spec:
-    add(s, ys) is [s + y for y in ys] and mul(x, ys) is [x * y for y in ys],
-    as group_add and group_mul give them."""
+    """Label arithmetic chosen once for the ground's spec, on the names
+    _ranks gives elements, as group_add and group_mul give it: add(s, ys) is
+    [s + y for y in ys], mul(x, ys) is [x * y for y in ys] and plus(s, y) is
+    s + y for one pair."""
     if isinstance(spec, Integers):
         return (lambda s, ys: list(map(s.__add__, ys)),
-                lambda x, ys: list(map(x.__mul__, ys)))
+                lambda x, ys: list(map(x.__mul__, ys)),
+                int.__add__)
     if isinstance(spec, PrimeField):
         p = spec.p
         return (lambda s, ys: list(map(p.__rmod__, map(s.__add__, ys))),
-                lambda x, ys: list(map(p.__rmod__, map(x.__mul__, ys))))
+                lambda x, ys: list(map(p.__rmod__, map(x.__mul__, ys))),
+                lambda s, y: (s + y) % p)
     if isinstance(spec, PrimePowerField):
         return _field_row_arithmetic(spec)
-    return (lambda s, ys: [group_add(spec, s, y) for y in ys],
-            lambda x, ys: [group_mul(spec, x, y) for y in ys])
+
+    def mul(x, ys):  # group_mul raises: a group has no product
+        return [group_mul(spec, x, y) for y in ys]
+
+    if isinstance(spec, CyclicProduct):
+        if len(spec.moduli) == 1:
+            m = spec.moduli[0]
+            return (lambda s, ys: list(map(m.__rmod__, map(s.__add__, ys))), mul,
+                    lambda s, y: (s + y) % m)
+        add, plus = _radix_arithmetic(_mixed_radix(spec.moduli))
+        return add, mul, plus
+    return (lambda s, ys: [group_add(spec, s, y) for y in ys], mul,
+            lambda s, y: group_add(spec, s, y))
+
+
+def _radix_arithmetic(radix) -> tuple:
+    """add(s, ys) and plus(s, y) over mixed-radix ranks, (weight, base) per
+    digit: each digit adds modulo its base, without carry into the next."""
+
+    def add(s, ys):
+        row = ys
+        for w, m in radix:
+            d = s // w % m
+            if d:
+                # the digit at w wraps past m where it is at least m - d
+                wraps = map((m - d - 1).__lt__, map(m.__rmod__, map(w.__rfloordiv__, row)))
+                row = list(map(sub, map((d * w).__add__, row), map((m * w).__mul__, wraps)))
+        return list(row)
+
+    def plus(s, y):
+        v = s + y
+        for w, m in radix:
+            if s // w % m + y // w % m >= m:
+                v -= w * m
+        return v
+
+    return add, plus
+
+
+@lru_cache(maxsize=8)
+def _product_tables(spec: PrimePowerField) -> tuple:
+    """exp and log over F_q laid out so that exp[log[x] + log[y]] is x*y
+    for every x != 0 and every y: two periods of exp, then zeros where
+    log(0) points.  Cached, so only the first product row over a field
+    pays for them."""
+    fv = field_view(spec)
+    q = fv.q
+    return fv.exp_table * 2 + (0,) * (q - 1), (2 * (q - 1),) + fv.log_table[1:]
 
 
 def _field_row_arithmetic(spec: PrimePowerField):
     """Row arithmetic over F_{p**k}.  Products go through field_view's
     exp/log tables.  Sums add base-p digits without carry, which is XOR
     when p = 2."""
-    fv = field_view(spec)
-    p, q = spec.p, fv.q
-    # two periods of exp, then zeros where log(0) points: exp[log x + log y]
-    # is x*y for every x != 0 and every y
-    exp = fv.exp_table * 2 + (0,) * (q - 1)
-    log = list(fv.log_table)
-    log[0] = 2 * (q - 1)
 
     def mul(x, ys):
         if x == 0:
             return [0] * len(ys)
+        exp, log = _product_tables(spec)
         return list(map(exp.__getitem__, map(log[x].__add__, map(log.__getitem__, ys))))
 
-    if p == 2:
-        return (lambda s, ys: list(map(s.__xor__, ys))), mul
-
-    def add(s, ys):
-        row = ys
-        step = 1
-        while s:
-            s, d = divmod(s, p)
-            if d:
-                # the digit at step wraps past p where it is at least p - d
-                wraps = map((p - d - 1).__lt__, map(p.__rmod__, map(step.__rfloordiv__, row)))
-                row = list(map(sub, map((d * step).__add__, row), map((p * step).__mul__, wraps)))
-            step *= p
-        return list(row)
-
-    return add, mul
+    if spec.p == 2:
+        return (lambda s, ys: list(map(s.__xor__, ys))), mul, int.__xor__
+    add, plus = _radix_arithmetic([(spec.p**i, spec.p) for i in range(spec.k)])
+    return add, mul, plus
 
 
 def _label_rows(spec: GroupSpec, clause: PredicateClause, elems) -> list:
@@ -517,7 +587,7 @@ def _label_rows(spec: GroupSpec, clause: PredicateClause, elems) -> list:
             return [list(map(abs, map((x * x).__sub__, squares))) for x in elems]
         one = 1 if lb == LB_TWO_PRODUCT_PLUS_ONE else -1
         return [list(map(one.__add__, map((2 * x).__mul__, elems))) for x in elems]
-    add, mul = _row_arithmetic(spec)
+    add, mul, _ = _row_arithmetic(spec)
     if lb == LB_SUM:
         return [add(x, elems) for x in elems]
     if lb == LB_DIFF:
@@ -528,6 +598,60 @@ def _label_rows(spec: GroupSpec, clause: PredicateClause, elems) -> list:
     products = [mul(x, elems) for x in elems]
     c = clause.a0 if lb == LB_AFFINE_PRODUCT else group_neg(spec, 1)
     return [add(c, row) for row in products]
+
+
+class _LazyRow(dict):
+    """Maps a pair sum s to the triple label plus(s, z) of s and one element
+    z, filled on first use, so that it holds only the labels a search
+    visits."""
+
+    __slots__ = ("plus", "z")
+
+    def __missing__(self, s):
+        v = self[s] = self.plus(s, self.z)
+        return v
+
+
+def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems, ranks) -> tuple:
+    """The kernel's state for one rainbow clause: (arity, pair labels,
+    triple rows, labels in use).  Pair labels are rainbow_label's, named as
+    _ranks names elements, one row per x: row i holds the labels of
+    (elems[i], y) for every y in elems, the diagonal included.  For triple
+    they are pair sums, and a window (a, b, c) has the label
+    rows[c][pairs[a][b]]."""
+    kind = clause.kind
+    if kind == RB_DISTANCE:
+        _require_int_elements(spec, kind)
+        pairs = [list(map(abs, map(x.__sub__, elems))) for x in elems]
+    else:
+        add, mul, plus = _row_arithmetic(spec)
+        if kind == RB_PRODUCT:
+            pairs = [mul(x, ranks) for x in ranks]
+        else:
+            ys = ranks
+            if kind == RB_DIFF:
+                ys = _ranks(spec, [group_neg(spec, y) for y in elems])
+            elif kind == RB_WEIGHTED:
+                ys = _ranks(spec, [group_double(spec, y) for y in elems])
+            pairs = [add(x, ys) for x in ranks]
+    m = clause.modulus
+    if m is not None and isinstance(elems[0], tuple):
+        raise ValueError("modulus applies to integer labels only")
+    if kind != RB_TRIPLE:
+        if m is not None:
+            pairs = [list(map(m.__rmod__, row)) for row in pairs]
+        return 2, pairs, None, set()
+    label = plus
+    if m is not None:
+
+        def label(s, z):
+            return plus(s, z) % m
+
+    rows = [_LazyRow() for _ in ranks]
+    for row, z in zip(rows, ranks):
+        row.plus = label
+        row.z = z
+    return 3, pairs, rows, set()
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -575,30 +699,23 @@ def search(
     n = len(elems)
     circular = shape == CIRCULAR
 
-    # one label tracker per rainbow clause, in clause order: (arity, labels,
-    # labels in use).  Pair labels are a matrix over element indices; triple
-    # labels are computed from the three indices of the window.
-    trackers = []
-    for cl in constraint.clauses:
-        if not isinstance(cl, RainbowClause):
-            continue
-        if cl.kind == RB_TRIPLE:
-
-            def labels(a, b, c, cl=cl):
-                return rainbow_triple_label(spec, cl, elems[a], elems[b], elems[c])
-
-            trackers.append((3, labels, set()))
-        else:
-            labels = [
-                [rainbow_label(spec, cl, x, y) if x != y else None for y in elems] for x in elems
-            ]
-            trackers.append((2, labels, set()))
+    # one label tracker per rainbow clause, in clause order (see
+    # _rainbow_tracker); a single element has no windows, so no labels
+    ranks = _ranks(spec, elems)
+    trackers = [] if n == 1 else [
+        _rainbow_tracker(spec, cl, elems, ranks)
+        for cl in constraint.clauses
+        if isinstance(cl, RainbowClause)
+    ]
     pclauses = [c for c in constraint.clauses if isinstance(c, PredicateClause)]
 
+    # bit i of a mask is byte i of format(mask, width).encode()
+    # .translate(_BIT_VALUES)[::-1], so compress reads its set bits off it
+    width = f"0{n}b"
     if pclauses:
         out_mask, in_mask = _compile_adjacency(spec, elems, pclauses)
         nbr_out = [
-            list(compress(range(n), format(m, f"0{n}b").encode().translate(_BIT_VALUES)[::-1]))
+            list(compress(range(n), format(m, width).encode().translate(_BIT_VALUES)[::-1]))
             for m in out_mask
         ]
     else:
@@ -650,7 +767,7 @@ def search(
         placed positions.  Returns the labels added, or None when one
         repeats; nothing stays recorded then."""
         added = []
-        for arity, labels, used in trackers:
+        for arity, labels, rows, used in trackers:
             for e in ends:
                 s = e - arity + 1
                 if not 0 <= s < n:
@@ -658,7 +775,7 @@ def search(
                 if arity == 2:
                     lab = labels[path[s]][path[e]]
                 else:
-                    lab = labels(path[s], path[s + 1], path[e])
+                    lab = rows[path[e]][labels[path[s]][path[s + 1]]]
                 if lab in used:
                     retract(added)
                     return None
@@ -830,7 +947,7 @@ def search(
     def candidates(prev, unused):
         if nbr_out is not None:
             return iter([j for j in nbr_out[prev] if unused >> j & 1])
-        return iter([j for j in range(n) if unused >> j & 1])
+        return compress(range(n), format(unused, width).encode().translate(_BIT_VALUES)[::-1])
 
     def extend(unused) -> bool:
         """Walk every completion of the path that holds path[0], depth first

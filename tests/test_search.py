@@ -1,5 +1,7 @@
 import random
-from itertools import permutations
+import re
+import tracemalloc
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from permlab.algebra import (
     CyclicProduct,
     GroundSet,
     Integers,
+    IntegerVectors,
     PrimeField,
     PrimePowerField,
     field_spec_for,
@@ -23,11 +26,15 @@ from permlab.search import (
     PredicateClause,
     RainbowClause,
     _compile_adjacency,
+    _rainbow_tracker,
+    _ranks,
     brute_force_enumerate,
     canonical_form,
     check,
     check_pair_numbering,
     pair_labels,
+    rainbow_label,
+    rainbow_triple_label,
     search,
     search_pair_numbering,
 )
@@ -407,6 +414,73 @@ class TestDifferentialFenceWide:
         assert (out.status == "witness") == (expected > 0)
 
 
+def _group_elements(moduli):
+    return tuple(product(*(range(m) for m in moduli)))
+
+
+# grounds whose elements the kernel ranks, or keeps as tuples
+_GROUP_GROUNDS = (
+    CyclicProduct((2, 2)),
+    CyclicProduct((2, 4)),
+    CyclicProduct((3, 3)),
+    CyclicProduct((2, 2, 2)),
+    PrimeField(7),
+    field_spec_for(8),
+    field_spec_for(9),
+    IntegerVectors(2),
+)
+
+
+@st.composite
+def group_conjunctions(draw):
+    """A rainbow-only instance over a multi-rank CyclicProduct, F_7, F_8,
+    F_9 or Z^2: up to 7 elements, either shape, one or two clauses (triple
+    among the kinds; product and moduli where labels are field elements),
+    optional pins."""
+    spec = draw(st.sampled_from(_GROUP_GROUNDS))
+    if isinstance(spec, IntegerVectors):
+        pool = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    elif isinstance(spec, CyclicProduct):
+        pool = _group_elements(spec.moduli)
+    else:
+        pool = range(field_view(spec).q)
+    n = draw(st.integers(1, min(7, len(pool))))
+    vals = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True))
+    kinds = ["sum", "diff", "weighted", "triple"]
+    moduli = st.none()
+    if isinstance(vals[0], int):
+        kinds.append("product")
+        moduli = st.none() | st.integers(2, 5)
+    clauses = draw(st.lists(st.builds(RainbowClause, st.sampled_from(kinds), moduli),
+                            min_size=1, max_size=2))
+    shape = draw(st.sampled_from([LINEAR, CIRCULAR]))
+    if shape == CIRCULAR and n == 2 and any(c.kind == "triple" for c in clauses):
+        shape = LINEAR
+    first = draw(st.none() | st.sampled_from(vals))
+    others = [v for v in vals if v != first]
+    last = draw(st.none() | st.sampled_from(others)) if others else None
+    return GroundSet(spec, tuple(vals)), shape, Constraint(tuple(clauses), first=first, last=last)
+
+
+class TestDifferentialFenceGroups:
+    """The fence of TestDifferentialFence over the grounds whose labels the
+    kernel names by mixed-radix ranks, field elements or vectors."""
+
+    @given(group_conjunctions())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_counts_match_brute_force(self, instance):
+        ground, shape, cons = instance
+        out = search(ground, shape, cons, count_witnesses=True)
+        expected, _ = brute_force_enumerate(ground, shape, cons)
+        count = out.witness_count
+        if shape == LINEAR and cons.reversal_symmetric and not cons.pinned and len(ground) > 1:
+            # the kernel walks both directions of a line, the oracle keeps one
+            assert count % 2 == 0
+            count //= 2
+        assert count == expected
+        assert (out.status == "witness") == (expected > 0)
+
+
 # (predicate, labeler) pairs whose graphs on a few small integers are
 # sparse, yet often enough have a circle
 _SPARSE_CLAUSES = (
@@ -517,6 +591,7 @@ class TestDeepSearches:
             (LINEAR, PredicateClause(PredicateSpec("coprime_to", (1,)), "sum")),
             (CIRCULAR, PredicateClause(PredicateSpec("coprime_to", (1,)), "sum")),
             (LINEAR, RainbowClause("sum")),
+            (LINEAR, RainbowClause("triple")),
         ],
     )
     def test_twelve_hundred_elements(self, shape, clause):
@@ -525,6 +600,26 @@ class TestDeepSearches:
         out = search(ground, shape, cons)
         assert out.status == "witness"
         assert check(out.witness, cons).ok
+
+    @pytest.mark.parametrize("shape", [LINEAR, CIRCULAR])
+    def test_triples_over_a_large_group(self, shape):
+        # triple rows hold only the labels a search meets: a row over the
+        # whole group would take megabytes for each of the 60 elements
+        rng = random.Random(3)
+        elems = set()
+        while len(elems) < 60:
+            elems.add((rng.randrange(1000), rng.randrange(1000)))
+        ground = GroundSet(CyclicProduct((1000, 1000)), tuple(elems))
+        cons = Constraint((RainbowClause("triple"),))
+        tracemalloc.start()
+        try:
+            out = search(ground, shape, cons)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.status == "witness"
+        assert check(out.witness, cons).ok
+        assert peak < 4 << 20
 
 
 def _reference_out_masks(spec, elems, clauses):
@@ -659,6 +754,82 @@ class TestAdjacencyCompile:
         assert out.witness_count == brute_force_enumerate(g, CIRCULAR, cons)[0] == 1
 
 
+# every rainbow kind's label arithmetic: integers, Z/m, multi-rank groups,
+# prime and prime-power fields, and vectors
+_LABEL_GROUNDS = (
+    (Z, (-7, -4, -1, 0, 2, 3, 5, 9, 12)),
+    (CyclicProduct((12,)), (0, 1, 3, 4, 6, 7, 10, 11)),
+    (CyclicProduct((2, 2)), _group_elements((2, 2))),
+    (CyclicProduct((2, 4)), _group_elements((2, 4))),
+    (CyclicProduct((3, 3)), _group_elements((3, 3))),
+    (CyclicProduct((2, 2, 2)), _group_elements((2, 2, 2))),
+    (PrimeField(7), tuple(range(7))),
+    (field_spec_for(8), tuple(range(8))),
+    (field_spec_for(9), tuple(range(9))),
+    (IntegerVectors(2), ((-2, 3), (-1, -1), (0, 0), (0, 5), (1, -1), (1, 2), (2, 1), (3, 0))),
+)
+
+
+def _reference_labels(spec, clause, elems) -> dict:
+    """The label of every window over distinct positions of elems, keyed
+    by its indices, from rainbow_label or rainbow_triple_label."""
+    n = len(elems)
+    if clause.kind == "triple":
+        return {
+            (a, b, c): rainbow_triple_label(spec, clause, elems[a], elems[b], elems[c])
+            for a in range(n) for b in range(n) for c in range(n) if len({a, b, c}) == 3
+        }
+    return {
+        (a, b): rainbow_label(spec, clause, elems[a], elems[b])
+        for a in range(n) for b in range(n) if a != b
+    }
+
+
+def _assert_same_partition(kernel, reference):
+    """Two windows share a kernel label exactly when they share a reference
+    label."""
+    to_reference, to_kernel = {}, {}
+    for key, ref in reference.items():
+        lab = kernel[key]
+        assert to_reference.setdefault(lab, ref) == ref, (key, lab, ref)
+        assert to_kernel.setdefault(ref, lab) == lab, (key, lab, ref)
+
+
+class TestRainbowLabels:
+    """The kernel's label matrices and triple rows against rainbow_label and
+    rainbow_triple_label, window by window: ranks and elements must split
+    the windows alike."""
+
+    @pytest.mark.parametrize("spec, elems", _LABEL_GROUNDS, ids=lambda v: repr(v)[:24])
+    def test_every_kind_with_and_without_modulus(self, spec, elems):
+        elems = sorted(elems)
+        ranks = _ranks(spec, elems)
+        ground = GroundSet(spec, tuple(elems))
+        for kind in ("sum", "diff", "distance", "weighted", "triple", "product"):
+            for modulus in (None, 3):
+                clause = RainbowClause(kind, modulus)
+                try:
+                    reference = _reference_labels(spec, clause, elems)
+                except ValueError as exc:
+                    # product on a group, distance off the integers, a
+                    # modulus on tuples: search() refuses them alike
+                    for shape in (LINEAR, CIRCULAR):
+                        with pytest.raises(ValueError, match=re.escape(str(exc))):
+                            search(ground, shape, Constraint((clause,)))
+                    continue
+                _, pairs, rows, _ = _rainbow_tracker(spec, clause, elems, ranks)
+                if kind == "triple":
+                    kernel = {(a, b, c): rows[c][pairs[a][b]] for a, b, c in reference}
+                else:
+                    kernel = {(a, b): pairs[a][b] for a, b in reference}
+                _assert_same_partition(kernel, reference)
+
+    def test_multi_rank_ranks_sort_as_tuples(self):
+        spec = CyclicProduct((2, 4, 3))
+        elems = _group_elements(spec.moduli)
+        assert _ranks(spec, elems) == list(range(len(elems)))
+
+
 class TestPairNumbering:
     def test_small_witness(self):
         g = ints(1, 2, 3, 4)
@@ -711,6 +882,21 @@ class TestValidation:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             search(ints(1, 2, 3), LINEAR, rainbow("sum"), budget=0)
+
+    @pytest.mark.parametrize(
+        "spec, elems",
+        [
+            (CyclicProduct((3, 3)), ((0, 0), (0, 1), (1, 2), (2, 2))),
+            (IntegerVectors(2), ((0, 0), (1, -1), (2, 3), (4, 1))),
+        ],
+    )
+    def test_predicates_over_tuple_grounds(self, spec, elems):
+        for pred in (PredicateSpec("prime"), PredicateSpec("coprime_to", (6,))):
+            cons = Constraint((PredicateClause(pred, "sum"),))
+            with pytest.raises(ValueError, match="is not defined over"):
+                search(GroundSet(spec, elems), CIRCULAR, cons)
+            with pytest.raises(ValueError, match="is not defined over"):
+                check(Arrangement(spec, CIRCULAR, elems), cons)
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
