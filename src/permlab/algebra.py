@@ -6,13 +6,20 @@ table-based finite fields F_q for q = p**k up to 2**20.
 Element convention: rank-1 structures (Integers, PrimeField, rank-1
 CyclicProduct, and encoded field elements of PrimePowerField) use bare
 ints; everything else uses tuples of ints.
+
+Whole-sequence ops: group_add_all, group_neg_all, group_mul_all and
+validate_elements do over a sequence what their one-element namesakes do
+over one element, choosing the arithmetic once per sequence and then
+running map passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from math import gcd
+from operator import add, mul, neg, xor
 
 from .numtheory import factorize, is_prime
 
@@ -36,11 +43,15 @@ __all__ = [
     "group_neg",
     "group_double",
     "group_mul",
+    "group_add_all",
+    "group_neg_all",
+    "group_mul_all",
     "group_cmp",
     "group_order",
     "invariant_factors",
     "sylow2_cyclic",
     "validate_element",
+    "validate_elements",
     "element_coords",
     "element_from_coords",
     "spec_to_dict",
@@ -172,6 +183,49 @@ def validate_element(spec: GroupSpec, x: Element) -> None:
             raise ValueError(f"expected encoded field element in [0, {spec.q}), got {x!r}")
 
 
+def _elements_valid(spec: GroupSpec, xs) -> bool:
+    """Whether validate_element accepts every element of the sequence xs:
+    types by isinstance passes, residues by min and max."""
+    if isinstance(spec, Integers):
+        return all(map(isinstance, xs, repeat(int)))
+    if isinstance(spec, IntegerVectors):
+        bounds = (None,) * spec.rank
+    elif isinstance(spec, CyclicProduct) and len(spec.moduli) > 1:
+        bounds = spec.moduli
+    else:
+        m = spec.moduli[0] if isinstance(spec, CyclicProduct) else group_order(spec)
+        return all(map(isinstance, xs, repeat(int))) and (not xs or 0 <= min(xs) <= max(xs) < m)
+    if not all(map(isinstance, xs, repeat(tuple))) or any(map(len(bounds).__ne__, map(len, xs))):
+        return False
+    for coords, m in zip(zip(*xs), bounds):
+        if not all(map(isinstance, coords, repeat(int))):
+            return False
+        if m is not None and not 0 <= min(coords) <= max(coords) < m:
+            return False
+    return True
+
+
+def validate_elements(spec: GroupSpec, xs) -> None:
+    """validate_element over the sequence xs.  The per-element loop runs
+    only when a whole-sequence check fails, to name the first bad element."""
+    if not _elements_valid(spec, xs):
+        for x in xs:
+            validate_element(spec, x)
+
+
+def _validate_members(spec: GroupSpec, elements: tuple) -> None:
+    """Raise for the first element that is invalid or repeats an earlier
+    one; the per-element loop runs only when one of them does."""
+    if _elements_valid(spec, elements) and len(set(elements)) == len(elements):
+        return
+    seen = set()
+    for x in elements:
+        validate_element(spec, x)
+        if x in seen:
+            raise ValueError(f"duplicate element {x!r}")
+        seen.add(x)
+
+
 def group_add(spec: GroupSpec, x: Element, y: Element) -> Element:
     if isinstance(spec, Integers):
         return x + y
@@ -222,6 +276,58 @@ def group_mul(spec: GroupSpec, x: Element, y: Element) -> Element:
         return x * y % spec.p
     if isinstance(spec, PrimePowerField):
         return field_view(spec).mul(x, y)
+    raise ValueError(f"multiplication is not defined on {spec!r}")
+
+
+def group_add_all(spec: GroupSpec, xs, ys) -> list:
+    """[group_add(spec, x, y) for x, y in zip(xs, ys)] for sequences xs and
+    ys of equal length, choosing the arithmetic once.  Tuples are added a
+    coordinate column at a time."""
+    if isinstance(spec, Integers):
+        return list(map(add, xs, ys))
+    if isinstance(spec, IntegerVectors):
+        return list(zip(*map(map, repeat(add), zip(*xs), zip(*ys))))
+    if isinstance(spec, CyclicProduct):
+        moduli = spec.moduli
+        if len(moduli) == 1:
+            return list(map(moduli[0].__rmod__, map(add, xs, ys)))
+        sums = map(map, repeat(add), zip(*xs), zip(*ys))
+        return list(zip(*map(map, [m.__rmod__ for m in moduli], sums)))
+    if isinstance(spec, PrimeField):
+        return list(map(spec.p.__rmod__, map(add, xs, ys)))
+    if spec.p == 2:
+        return list(map(xor, xs, ys))
+    return list(map(partial(_ppf_add, spec), xs, ys))
+
+
+def group_neg_all(spec: GroupSpec, xs) -> list:
+    """[group_neg(spec, x) for x in xs], choosing the arithmetic once."""
+    if isinstance(spec, Integers):
+        return list(map(neg, xs))
+    if isinstance(spec, IntegerVectors):
+        return list(zip(*map(map, repeat(neg), zip(*xs))))
+    if isinstance(spec, CyclicProduct):
+        moduli = spec.moduli
+        if len(moduli) == 1:
+            return list(map(moduli[0].__rmod__, map(neg, xs)))
+        negs = map(map, repeat(neg), zip(*xs))
+        return list(zip(*map(map, [m.__rmod__ for m in moduli], negs)))
+    if isinstance(spec, PrimeField):
+        return list(map(spec.p.__rmod__, map(neg, xs)))
+    if spec.p == 2:
+        return list(xs)
+    return list(map(partial(group_neg, spec), xs))
+
+
+def group_mul_all(spec: GroupSpec, xs, ys) -> list:
+    """[group_mul(spec, x, y) for x, y in zip(xs, ys)] for sequences xs and
+    ys of equal length, choosing the arithmetic once."""
+    if isinstance(spec, Integers):
+        return list(map(mul, xs, ys))
+    if isinstance(spec, PrimeField):
+        return list(map(spec.p.__rmod__, map(mul, xs, ys)))
+    if isinstance(spec, PrimePowerField):
+        return list(map(field_view(spec).mul, xs, ys))
     raise ValueError(f"multiplication is not defined on {spec!r}")
 
 
@@ -499,12 +605,7 @@ class GroundSet:
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError("ground set is empty")
-        seen = set()
-        for x in self.elements:
-            validate_element(self.spec, x)
-            if x in seen:
-                raise ValueError(f"duplicate element {x!r}")
-            seen.add(x)
+        _validate_members(self.spec, self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -525,12 +626,7 @@ class Arrangement:
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError("arrangement is empty")
-        seen = set()
-        for x in self.elements:
-            validate_element(self.spec, x)
-            if x in seen:
-                raise ValueError(f"duplicate element {x!r}")
-            seen.add(x)
+        _validate_members(self.spec, self.elements)
 
     def __len__(self):
         return len(self.elements)

@@ -1082,7 +1082,9 @@ def run_instance(conjecture_id: str, params: dict,
                 ms + out.elapsed_ms,
                 note="no generator with the shifted square in the target class",
             )
-        assert check(arr, inst.constraint).ok
+        report = check(arr, inst.constraint)
+        if not report.ok:
+            raise RuntimeError(f"qr_cycle produced an invalid arrangement: {report.first.message}")
         return VerificationRecord(
             conjecture_id, params, "witness",
             _witness_coords(GroundSet(arr.spec, arr.elements), arr), 0, ms,

@@ -9,7 +9,9 @@ Inputs that are sets get sorted internally; callers may pass any order.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
+from operator import le, sub
 
 from .algebra import (
     CIRCULAR,
@@ -20,10 +22,11 @@ from .algebra import (
     Integers,
     field_make,
     group_add,
-    group_neg,
+    group_add_all,
+    group_neg_all,
     group_sub,
     is_ordered,
-    validate_element,
+    validate_elements,
 )
 from .numtheory import (
     PredicateSpec,
@@ -77,7 +80,7 @@ def zigzag_distances(values, n_expected: int | None = None) -> Arrangement:
     smallest, whose adjacent absolute gaps are strictly decreasing (hence
     pairwise distinct): low and high ends are interleaved."""
     vals = list(values)
-    if any(not isinstance(v, int) for v in vals):
+    if not all(map(isinstance, vals, repeat(int))):
         raise ValueError("integer values required")
     if sorted(set(vals)) != vals:
         raise ValueError("values must be strictly increasing and distinct")
@@ -97,8 +100,8 @@ def zigzag_distances(values, n_expected: int | None = None) -> Arrangement:
             lo += 1
         take_high = not take_high
     arr = Arrangement(Integers(), LINEAR, tuple(out))
-    gaps = [abs(a - b) for a, b in zip(out, out[1:])]
-    if any(x <= y for x, y in zip(gaps, gaps[1:])):
+    gaps = list(map(abs, map(sub, out, out[1:])))
+    if any(map(le, gaps, gaps[1:])):
         raise AssertionError(f"gaps not strictly decreasing for {vals!r}")
     return _recheck(arr, Constraint((RainbowClause("distance"),)), "zigzag_distances")
 
@@ -192,8 +195,7 @@ def _check_ordered_input(spec: GroupSpec, values, minimum: int):
     vals = _sorted_distinct(values, "values")
     if len(vals) < minimum:
         raise ValueError(f"need more than {minimum - 1} values, got {len(vals)}")
-    for v in vals:
-        validate_element(spec, v)
+    validate_elements(spec, vals)
     return vals
 
 
@@ -209,18 +211,12 @@ def _weighted_cycle_tagged(values, spec: GroupSpec):
     a = _check_ordered_input(spec, values, 4)
     n = len(a)
 
-    def w(x, y):  # the edge label x + 2y
-        return group_add(spec, x, group_add(spec, y, y))
-
-    wrap = w(a[-1], a[0])
-    collide = None
-    for i in range(n - 1):
-        if w(a[i], a[i + 1]) == wrap:
-            collide = i + 1  # 1-based position as in the chain a_i + 2a_{i+1}
-            break
-    if collide is None:
+    # the edge labels x + 2y of the chain, then of the wrap edge
+    chain = group_add_all(spec, a[:-1], group_add_all(spec, a[1:], a[1:]))
+    wrap = group_add(spec, a[-1], group_add(spec, a[0], a[0]))
+    if wrap not in chain:
         return a, "identity"
-    i = collide
+    i = chain.index(wrap) + 1  # 1-based position as in the chain a_i + 2a_{i+1}
     # 1 <= i <= n-2 always: the top chain value exceeds the wrap value
     assert 1 <= i <= n - 2, (a, i)
 
@@ -272,7 +268,7 @@ def _triple_cycle_tagged(values, spec: GroupSpec, negated: bool):
     if n == 4:
         return list(a), "n4-identity"
 
-    interior = [_t3(spec, a[i - 1], a[i], a[i + 1]) for i in range(1, n - 1)]
+    interior = group_add_all(spec, group_add_all(spec, a[:-2], a[1:-1]), a[2:])
     x = _t3(spec, a[n - 2], a[n - 1], a[0])  # wrap sum ending at the smallest
     y = _t3(spec, a[n - 1], a[0], a[1])  # wrap sum through the seam
     x_pos = interior.index(x) + 2 if x in interior else None  # 1-based center index
@@ -284,9 +280,9 @@ def _triple_cycle_tagged(values, spec: GroupSpec, negated: bool):
         # mirror the set: negation swaps the roles of the two wrap sums
         if negated:
             raise AssertionError(f"negation reduction failed to terminate on {a!r}")
-        mirrored = sorted(group_neg(spec, v) for v in a)
+        mirrored = sorted(group_neg_all(spec, a))
         perm, tag = _triple_cycle_tagged(mirrored, spec, negated=True)
-        return [group_neg(spec, v) for v in perm], "mirror:" + tag
+        return group_neg_all(spec, perm), "mirror:" + tag
 
     i = x_pos
     if n == 5:
@@ -351,9 +347,9 @@ def _triple_cycle_tagged(values, spec: GroupSpec, negated: bool):
             return _terminal_8_64(a, spec)
         assert (i, j) == (5, 3), (a, i, j)
         # reflect through negation onto the (6, 4) shape and map back
-        mirrored = [group_neg(spec, v) for v in reversed(a)]
+        mirrored = group_neg_all(spec, a[::-1])
         perm, tag = _terminal_8_64(mirrored, spec)
-        return [group_neg(spec, v) for v in perm], tag + "-mirrored"
+        return group_neg_all(spec, perm), tag + "-mirrored"
     assert n == 9 and (i, j) == (6, 4), (a, i, j)
     if group_add(spec, a[6], a[6]) != group_add(spec, a[7], a[3]):
         b = [a[0], a[1], a[2], a[3], a[5], a[4], a[7], a[6], a[8]]
@@ -438,12 +434,10 @@ def qr_cycle(q: int, operation: str = "sum", target: str = "S") -> Arrangement |
             break
     if chosen is None:
         return None
-    g2 = fv.mul(chosen, chosen)
-    elems = []
-    x = 1
-    for _ in range((q - 1) // 2):
-        x = fv.mul(x, g2)
-        elems.append(x)
+    # the powers g**2, g**4, ..., g**(q-1), read off the exp table
+    step = fv.log_table[fv.mul(chosen, chosen)]
+    logs = map((q - 1).__rmod__, map(step.__mul__, range(1, (q - 1) // 2 + 1)))
+    elems = list(map(fv.exp_table.__getitem__, logs))
     spec = fv.spec
     arr = Arrangement(spec, CIRCULAR, tuple(elems))
     kind = "quadratic_residue_mod" if target == "S" else "quadratic_nonresidue_mod"

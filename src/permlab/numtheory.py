@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd, isqrt, log
 
 __all__ = [
@@ -82,7 +83,7 @@ class PrimeSieve:
         return self.is_prime(k)
 
     def primes(self) -> list[int]:
-        return [k for k in range(2, self.limit + 1) if self.table[k]]
+        return list(compress(range(self.limit + 1), self.table))
 
     def count(self) -> int:
         return sum(self.table)
@@ -433,7 +434,7 @@ class PredicateTable:
             m = spec.params[0]
             if m > 1:
                 self._mod = m
-                self._dense = bytes(1 if gcd(r, m) == 1 else 0 for r in range(m))
+                self._dense = bytes(map((1).__eq__, map(gcd, range(m), repeat(m))))
         elif hi >= lo and hi - lo <= _DENSE_SPAN:
             self._dense = self._build_range(kind, lo, hi)
 

@@ -33,8 +33,10 @@ these names when a search starts, a row of pair labels per element.  A
 triple window (a, b, c) reads the pair sum of a and b there and adds c
 through a row of c filled as its labels are first met, so that row holds
 only the labels the search visits.  check() shares none of this: it
-recomputes every label from the elements with rainbow_label and
-rainbow_triple_label.
+recomputes every label from the elements, a clause at a time, on columns
+of the arrangement (the first, second and third element of every window)
+through algebra.py's whole-sequence ops, in rainbow_labels and
+predicate_labels.
 
 Symmetry reduction
 ------------------
@@ -53,7 +55,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
-from operator import sub
+from operator import add, mul, sub
 
 from .algebra import (
     CIRCULAR,
@@ -69,10 +71,12 @@ from .algebra import (
     PrimePowerField,
     field_view,
     group_add,
+    group_add_all,
     group_double,
     group_mul,
+    group_mul_all,
     group_neg,
-    group_sub,
+    group_neg_all,
     validate_element,
 )
 from .numtheory import (
@@ -237,68 +241,58 @@ def _multi_rank(spec: GroupSpec) -> bool:
     return isinstance(spec, CyclicProduct) and len(spec.moduli) > 1
 
 
-def pair_labels(spec: GroupSpec, clause: PredicateClause, x: Element, y: Element) -> tuple:
-    """The label value(s) a predicate clause derives from the directed edge
-    (x, y).  Most labelers give one value; abs_diff_and_sum gives two."""
-    lb = clause.labeler
-    if lb == LB_SUM:
-        return (group_add(spec, x, y),)
-    if lb == LB_DIFF:
-        return (group_sub(spec, x, y),)
-    if lb == LB_ABS_DIFF_AND_SUM:
-        _require_int_elements(spec, lb)
-        return (abs(x - y), x + y)
-    if lb == LB_SQUARE_PLUS:
-        return (group_add(spec, group_mul(spec, x, x), y),)
-    if lb == LB_SQUARE_MINUS:
-        _require_int_elements(spec, lb)
-        return (x * x - y,)
-    if lb == LB_PRODUCT_MINUS_ONE:
-        if isinstance(spec, Integers):
-            return (x * y - 1,)
-        one = 1
-        return (group_sub(spec, group_mul(spec, x, y), one),)
-    if lb == LB_TWO_PRODUCT_MINUS_ONE:
-        _require_int_elements(spec, lb)
-        return (2 * x * y - 1,)
-    if lb == LB_TWO_PRODUCT_PLUS_ONE:
-        _require_int_elements(spec, lb)
-        return (2 * x * y + 1,)
-    if lb == LB_AFFINE_PRODUCT:
-        return (group_add(spec, clause.a0, group_mul(spec, x, y)),)
-    _require_int_elements(spec, lb)
-    return (abs(x * x - y * y),)
-
-
-def rainbow_label(spec: GroupSpec, clause: RainbowClause, x: Element, y: Element) -> Element:
+def rainbow_labels(spec: GroupSpec, clause: RainbowClause, xs, ys, zs=None) -> list:
+    """The labels of a rainbow clause on a column of windows: window i is
+    (xs[i], ys[i]), or (xs[i], ys[i], zs[i]) for triple."""
     kind = clause.kind
     if kind == RB_SUM:
-        v = group_add(spec, x, y)
+        labels = group_add_all(spec, xs, ys)
     elif kind == RB_DIFF:
-        v = group_sub(spec, x, y)
+        labels = group_add_all(spec, xs, group_neg_all(spec, ys))
     elif kind == RB_DISTANCE:
         _require_int_elements(spec, kind)
-        v = abs(x - y)
+        labels = list(map(abs, map(sub, xs, ys)))
     elif kind == RB_WEIGHTED:
-        v = group_add(spec, x, group_double(spec, y))
+        labels = group_add_all(spec, xs, group_add_all(spec, ys, ys))
     elif kind == RB_PRODUCT:
-        v = group_mul(spec, x, y)
+        labels = group_mul_all(spec, xs, ys)
     else:
-        raise ValueError("triple labels span three positions")
-    if clause.modulus is not None:
-        if not isinstance(v, int):
+        labels = group_add_all(spec, group_add_all(spec, xs, ys), zs)
+    m = clause.modulus
+    if m is not None and labels:
+        if not isinstance(labels[0], int):
             raise ValueError("modulus applies to integer labels only")
-        v %= clause.modulus
-    return v
+        labels = list(map(m.__rmod__, labels))
+    return labels
 
 
-def rainbow_triple_label(spec: GroupSpec, clause: RainbowClause, x, y, z) -> Element:
-    v = group_add(spec, group_add(spec, x, y), z)
-    if clause.modulus is not None:
-        if not isinstance(v, int):
-            raise ValueError("modulus applies to integer labels only")
-        v %= clause.modulus
-    return v
+def predicate_labels(spec: GroupSpec, clause: PredicateClause, xs, ys) -> list:
+    """The labels a predicate clause derives from a column of directed edges
+    (xs[i], ys[i]), flat and in edge order.  Most labelers give one label
+    per edge; abs_diff_and_sum gives two, |x - y| then x + y."""
+    lb = clause.labeler
+    if lb in _INTEGER_ONLY_LABELERS:
+        _require_int_elements(spec, lb)
+        if lb == LB_ABS_DIFF_AND_SUM:
+            flat = [0] * (2 * len(xs))
+            flat[::2] = map(abs, map(sub, xs, ys))
+            flat[1::2] = map(add, xs, ys)
+            return flat
+        if lb == LB_SQUARE_MINUS:
+            return list(map(sub, map(mul, xs, xs), ys))
+        if lb == LB_ABS_SQUARE_DIFF:
+            return list(map(abs, map(sub, map(mul, xs, xs), map(mul, ys, ys))))
+        one = 1 if lb == LB_TWO_PRODUCT_PLUS_ONE else -1
+        return list(map(one.__add__, map(mul, map((2).__mul__, xs), ys)))
+    if lb == LB_SUM:
+        return group_add_all(spec, xs, ys)
+    if lb == LB_DIFF:
+        return group_add_all(spec, xs, group_neg_all(spec, ys))
+    if lb == LB_SQUARE_PLUS:
+        return group_add_all(spec, group_mul_all(spec, xs, xs), ys)
+    products = group_mul_all(spec, xs, ys)
+    c = clause.a0 if lb == LB_AFFINE_PRODUCT else group_neg(spec, 1)
+    return group_add_all(spec, [c] * len(products), products)
 
 
 def _field_table(spec: PrimeField | PrimePowerField, pred: PredicateSpec) -> bytes:
@@ -367,10 +361,26 @@ class CheckReport:
         return self.violations[0] if self.violations else None
 
 
+def _columns(arrangement: Arrangement, arity: int) -> list:
+    """The elements of every window of the given arity as columns, one per
+    offset: window i holds column[0][i], column[1][i], ..., in the order of
+    edge_index_pairs() (arity 2) or triple_index_runs() (arity 3)."""
+    elems = arrangement.elements
+    n = len(elems)
+    if n < arity:
+        return [()] * arity
+    if arrangement.shape == LINEAR:
+        return [elems[i:n - arity + 1 + i] for i in range(arity)]
+    return [elems[i:] + elems[:i] for i in range(arity)]
+
+
 def check(arrangement: Arrangement, constraint: Constraint) -> CheckReport:
-    """Certificate check by direct recomputation of every clause.  Shares no
-    state with the search kernel's incremental tracking; this is the oracle
-    the kernel's witnesses are validated against."""
+    """Certificate check by direct recomputation of every clause.  Each
+    clause's labels are computed on columns of the arrangement's elements
+    through algebra.py's whole-sequence ops; window positions are built
+    only to report a violation.  Shares no state or arithmetic with the
+    search kernel's incremental tracking; this is the oracle the kernel's
+    witnesses are validated against."""
     spec = arrangement.spec
     elems = arrangement.elements
     n = len(elems)
@@ -381,24 +391,21 @@ def check(arrangement: Arrangement, constraint: Constraint) -> CheckReport:
     if constraint.last is not None and elems[-1] != constraint.last:
         viols.append(Violation(None, (n - 1,), f"last position must hold {constraint.last!r}"))
 
-    edges = arrangement.edge_index_pairs()
-    triples = arrangement.triple_index_runs()
     for ci, cl in enumerate(constraint.clauses):
         if isinstance(cl, RainbowClause):
-            if cl.kind == RB_TRIPLE:
-                if arrangement.shape == CIRCULAR and 1 < n < 3:
-                    viols.append(Violation(ci, (), "triple labels need length >= 3"))
-                    continue
-                labeled = [
-                    (rainbow_triple_label(spec, cl, elems[a], elems[b], elems[c]), (a, b, c))
-                    for a, b, c in triples
-                ]
-            else:
-                labeled = [
-                    (rainbow_label(spec, cl, elems[a], elems[b]), (a, b)) for a, b in edges
-                ]
+            triple = cl.kind == RB_TRIPLE
+            if triple and arrangement.shape == CIRCULAR and 1 < n < 3:
+                viols.append(Violation(ci, (), "triple labels need length >= 3"))
+                continue
+            columns = _columns(arrangement, 3 if triple else 2)
+            if not columns[0]:
+                continue
+            labels = rainbow_labels(spec, cl, *columns)
+            if len(set(labels)) == len(labels):
+                continue
+            windows = arrangement.triple_index_runs() if triple else arrangement.edge_index_pairs()
             seen: dict = {}
-            for lab, pos in labeled:
+            for lab, pos in zip(labels, windows):
                 if lab in seen:
                     viols.append(
                         Violation(
@@ -411,13 +418,13 @@ def check(arrangement: Arrangement, constraint: Constraint) -> CheckReport:
                 seen[lab] = pos
         else:
             truths = _predicate_evaluator(spec, cl.predicate)
-            if not edges:
+            xs, ys = _columns(arrangement, 2)
+            if not xs:
                 continue
-            labels = [pair_labels(spec, cl, elems[a], elems[b]) for a, b in edges]
-            flat = [v for vals in labels for v in vals]
+            flat = predicate_labels(spec, cl, xs, ys)
             bad = truths([flat])[0].find(0)
             if bad >= 0:
-                a, b = edges[bad // len(labels[0])]
+                a, b = arrangement.edge_index_pairs()[bad // (len(flat) // len(xs))]
                 viols.append(
                     Violation(
                         ci,
@@ -569,7 +576,7 @@ def _field_row_arithmetic(spec: PrimePowerField):
 
 def _label_rows(spec: GroupSpec, clause: PredicateClause, elems) -> list:
     """The labels of a predicate clause on every ordered pair of elems, as
-    pair_labels gives them, one row per x: row i holds the labels of
+    predicate_labels gives them, one row per x: row i holds the labels of
     (elems[i], y) for every y in elems, the diagonal included.
     abs_diff_and_sum, with two labels per pair, adds a second block of n
     rows."""
@@ -614,7 +621,7 @@ class _LazyRow(dict):
 
 def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems, ranks) -> tuple:
     """The kernel's state for one rainbow clause: (arity, pair labels,
-    triple rows, labels in use).  Pair labels are rainbow_label's, named as
+    triple rows, labels in use).  Pair labels are rainbow_labels', named as
     _ranks names elements, one row per x: row i holds the labels of
     (elems[i], y) for every y in elems, the diagonal included.  For triple
     they are pair sums, and a window (a, b, c) has the label
@@ -917,8 +924,8 @@ def search(
     def accept() -> bool:
         """Called with a full path; returns True to stop the search."""
         nonlocal found, count
-        arr = Arrangement(spec, shape, tuple(elems[i] for i in path[:n]))
         if found is None:
+            arr = Arrangement(spec, shape, tuple(elems[i] for i in path[:n]))
             report = check(arr, constraint)
             if not report.ok:
                 raise RuntimeError(

@@ -18,14 +18,19 @@ from permlab.algebra import (
     field_spec_for,
     field_view,
     group_add,
+    group_add_all,
     group_cmp,
+    group_mul,
+    group_mul_all,
     group_neg,
+    group_neg_all,
     group_sub,
     invariant_factors,
     spec_from_dict,
     spec_to_dict,
     sylow2_cyclic,
     validate_element,
+    validate_elements,
 )
 
 SPECS = [
@@ -209,6 +214,119 @@ class TestArrangement:
             GroundSet(Integers(), ())
         with pytest.raises(ValueError):
             GroundSet(Integers(), (1, 1))
+
+
+# every spec kind, the fields in both characteristics included
+SEQUENCE_SPECS = SPECS + [field_spec_for(8), field_spec_for(9), field_spec_for(27)]
+
+# elements validate_element refuses, per spec; True passes as the int 1
+BAD_ELEMENTS = {
+    Integers(): ("a", 1.5, (1,), None),
+    IntegerVectors(2): ((1,), (1, 2, 3), (1, 2.0), [1, 2], 5),
+    IntegerVectors(3): ((1, 2), ("a", 0, 0)),
+    CyclicProduct((12,)): (12, -1, (1,), 1.0),
+    CyclicProduct((2, 2)): ((2, 0), (0, -1), (0,), 1, (0, 1.0)),
+    CyclicProduct((4, 3, 5)): ((3, 3, 4), (0, 0, 5)),
+    PrimeField(13): (13, -1, 2.0),
+    field_spec_for(8): (8, -1),
+    field_spec_for(9): (9, (1, 1)),
+    field_spec_for(27): (27,),
+}
+
+
+def any_element(rng, spec):
+    if isinstance(spec, PrimePowerField):
+        return rng.randrange(spec.q)
+    return random_element(rng, spec)
+
+
+def _first_error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _reference_members(spec, elements, what):
+    """GroundSet's and Arrangement's element checks as one loop, as they
+    were written before the whole-sequence checks."""
+    if not elements:
+        raise ValueError(f"{what} is empty")
+    seen = set()
+    for x in elements:
+        validate_element(spec, x)
+        if x in seen:
+            raise ValueError(f"duplicate element {x!r}")
+        seen.add(x)
+
+
+class TestWholeSequenceOps:
+    def test_match_one_element_ops(self):
+        rng = random.Random(6)
+        for spec in SEQUENCE_SPECS:
+            for n in (0, 1, 2, 7, 40):
+                xs = [any_element(rng, spec) for _ in range(n)]
+                ys = [any_element(rng, spec) for _ in range(n)]
+                assert group_add_all(spec, xs, ys) == [group_add(spec, x, y) for x, y in zip(xs, ys)]
+                assert group_neg_all(spec, xs) == [group_neg(spec, x) for x in xs]
+                c = any_element(rng, spec)
+                assert group_add_all(spec, [c] * n, ys) == [group_add(spec, c, y) for y in ys]
+                try:
+                    group_mul(spec, c, c)
+                except ValueError as exc:  # a group has no product
+                    assert _first_error(group_mul_all, spec, xs, ys) == str(exc)
+                else:
+                    assert group_mul_all(spec, xs, ys) == [group_mul(spec, x, y) for x, y in zip(xs, ys)]
+
+    def test_validate_elements_names_the_first_bad_element(self):
+        rng = random.Random(7)
+        for spec in SEQUENCE_SPECS:
+            good = [any_element(rng, spec) for _ in range(30)]
+            validate_elements(spec, good)
+            validate_elements(spec, [])
+            for bad in BAD_ELEMENTS[spec]:
+                for at in (0, 13, 30):
+                    xs = good[:at] + [bad] + good[at:] + [bad]
+                    assert _first_error(validate_elements, spec, xs) == _first_error(
+                        validate_element, spec, bad)
+
+    def test_bools_pass_as_ints(self):
+        validate_elements(Integers(), [True, False, 2])
+        validate_elements(PrimeField(13), [True, 12])
+        validate_elements(CyclicProduct((2, 2)), [(True, 0), (0, 1)])
+        GroundSet(Integers(), (True, 2))
+        with pytest.raises(ValueError, match="duplicate element 1"):
+            GroundSet(Integers(), (True, 2, 1))
+
+    def test_member_errors_match_the_element_loop(self):
+        rng = random.Random(8)
+        for spec in SEQUENCE_SPECS:
+            good = list(dict.fromkeys(any_element(rng, spec) for _ in range(20)))
+            cases = [(), tuple(good)]
+            for bad in BAD_ELEMENTS[spec]:
+                # a bad element before a duplicate, and after one
+                cases.append(tuple(good[:5] + [bad] + good[2:4] + good[5:]))
+                cases.append(tuple(good[:5] + good[2:4] + [bad] + good[5:]))
+            for elements in cases:
+                for make, what in ((GroundSet, "ground set"), (Arrangement, "arrangement")):
+                    args = (spec, elements) if make is GroundSet else (spec, CIRCULAR, elements)
+                    assert _first_error(make, *args) == _first_error(
+                        _reference_members, spec, elements, what), (spec, elements)
+
+    def test_member_messages(self):
+        with pytest.raises(ValueError, match=r"^expected int, got 'a'$"):
+            GroundSet(Integers(), (1, "a", 1))
+        with pytest.raises(ValueError, match=r"^duplicate element 1$"):
+            GroundSet(Integers(), (1, 1, "a"))
+        with pytest.raises(ValueError, match=r"^expected reduced tuple for moduli \(2, 4\), got \(0, 4\)$"):
+            Arrangement(CyclicProduct((2, 4)), LINEAR, ((0, 0), (0, 4)))
+        with pytest.raises(ValueError, match=r"^expected 2-tuple of ints, got \(1, 2, 3\)$"):
+            Arrangement(IntegerVectors(2), LINEAR, ((0, 0), (1, 2, 3)))
+        with pytest.raises(ValueError, match=r"^expected encoded field element in \[0, 9\), got 9$"):
+            GroundSet(field_spec_for(9), (0, 9))
+        with pytest.raises(ValueError, match=r"^arrangement is empty$"):
+            Arrangement(Integers(), LINEAR, ())
 
 
 class TestSerialization:

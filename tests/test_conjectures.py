@@ -1,6 +1,6 @@
 import pytest
 
-from permlab.algebra import CIRCULAR, Arrangement, element_from_coords
+from permlab.algebra import CIRCULAR, Arrangement, PrimeField, element_from_coords
 from permlab.conjectures import (
     CONJECTURE_IDS,
     VerificationRecord,
@@ -156,6 +156,17 @@ class TestRunInstance:
         rec = run_instance("thm1.6-range", {"q": 5, "op": 0, "target": 0})
         assert rec.status == "exhausted"
         assert "no generator" in rec.note
+
+    def test_qr_mode_rejects_a_bad_construction(self, monkeypatch):
+        # the squares of F_13 in ascending order: 3 + 4 = 7 is a nonsquare.
+        # The re-check must hold under python -O, so it is no assert.
+        import permlab.conjectures as conjectures
+
+        bad = Arrangement(PrimeField(13), CIRCULAR, (1, 3, 4, 9, 10, 12))
+        monkeypatch.setattr(conjectures, "qr_cycle", lambda q, op, target: bad)
+        with pytest.raises(RuntimeError, match=r"^qr_cycle produced an invalid arrangement: "
+                                               r"label 7 at positions \(1, 2\) fails "):
+            run_instance("thm1.6-range", {"q": 13, "op": 0, "target": 0})
 
     def test_qr_mode_searches_without_generator(self):
         # with no suitable generator the runner falls back to the exact

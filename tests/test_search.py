@@ -19,22 +19,28 @@ from permlab.algebra import (
     PrimePowerField,
     field_spec_for,
     field_view,
+    group_add,
+    group_double,
+    group_mul,
+    group_sub,
 )
 from permlab.numtheory import MODULAR_KINDS, PredicateSpec, predicate_allows
 from permlab.search import (
+    CheckReport,
     Constraint,
     PredicateClause,
     RainbowClause,
+    Violation,
     _compile_adjacency,
+    _predicate_evaluator,
     _rainbow_tracker,
     _ranks,
     brute_force_enumerate,
     canonical_form,
     check,
     check_pair_numbering,
-    pair_labels,
-    rainbow_label,
-    rainbow_triple_label,
+    predicate_labels,
+    rainbow_labels,
     search,
     search_pair_numbering,
 )
@@ -623,7 +629,7 @@ class TestDeepSearches:
 
 
 def _reference_out_masks(spec, elems, clauses):
-    """out_mask pair by pair, from pair_labels and the predicates'
+    """out_mask pair by pair, from predicate_labels and the predicates'
     definitions: predicate_allows, or field_view's classes for a modular
     predicate over a field."""
 
@@ -644,7 +650,7 @@ def _reference_out_masks(spec, elems, clauses):
             for j in range(n)
             if j != i
             and all(holds(cl.predicate, v) for cl in clauses
-                    for v in pair_labels(spec, cl, elems[i], elems[j]))
+                    for v in predicate_labels(spec, cl, [elems[i]], [elems[j]]))
         )
         for i in range(n)
     ]
@@ -772,17 +778,11 @@ _LABEL_GROUNDS = (
 
 def _reference_labels(spec, clause, elems) -> dict:
     """The label of every window over distinct positions of elems, keyed
-    by its indices, from rainbow_label or rainbow_triple_label."""
-    n = len(elems)
-    if clause.kind == "triple":
-        return {
-            (a, b, c): rainbow_triple_label(spec, clause, elems[a], elems[b], elems[c])
-            for a in range(n) for b in range(n) for c in range(n) if len({a, b, c}) == 3
-        }
-    return {
-        (a, b): rainbow_label(spec, clause, elems[a], elems[b])
-        for a in range(n) for b in range(n) if a != b
-    }
+    by its indices, from rainbow_labels on a column of all of them."""
+    arity = 3 if clause.kind == "triple" else 2
+    windows = [w for w in product(range(len(elems)), repeat=arity) if len(set(w)) == arity]
+    columns = [[elems[w[i]] for w in windows] for i in range(arity)]
+    return dict(zip(windows, rainbow_labels(spec, clause, *columns)))
 
 
 def _assert_same_partition(kernel, reference):
@@ -796,9 +796,8 @@ def _assert_same_partition(kernel, reference):
 
 
 class TestRainbowLabels:
-    """The kernel's label matrices and triple rows against rainbow_label and
-    rainbow_triple_label, window by window: ranks and elements must split
-    the windows alike."""
+    """The kernel's label matrices and triple rows against rainbow_labels,
+    window by window: ranks and elements must split the windows alike."""
 
     @pytest.mark.parametrize("spec, elems", _LABEL_GROUNDS, ids=lambda v: repr(v)[:24])
     def test_every_kind_with_and_without_modulus(self, spec, elems):
@@ -903,3 +902,224 @@ class TestValidation:
             RainbowClause("sum", modulus=1)
         with pytest.raises(ValueError):
             RainbowClause("nope")
+
+
+# --- check() against the per-window checker it replaced ---------------------------
+
+
+def _ref_rainbow_label(spec, clause, x, y):
+    kind = clause.kind
+    if kind == "sum":
+        v = group_add(spec, x, y)
+    elif kind == "diff":
+        v = group_sub(spec, x, y)
+    elif kind == "distance":
+        _ref_require_ints(spec, kind)
+        v = abs(x - y)
+    elif kind == "weighted":
+        v = group_add(spec, x, group_double(spec, y))
+    else:
+        v = group_mul(spec, x, y)
+    return _ref_reduce(clause, v)
+
+
+def _ref_rainbow_triple_label(spec, clause, x, y, z):
+    return _ref_reduce(clause, group_add(spec, group_add(spec, x, y), z))
+
+
+def _ref_reduce(clause, v):
+    if clause.modulus is not None:
+        if not isinstance(v, int):
+            raise ValueError("modulus applies to integer labels only")
+        v %= clause.modulus
+    return v
+
+
+def _ref_require_ints(spec, labeler):
+    if not isinstance(spec, Integers):
+        raise ValueError(f"labeler {labeler!r} needs plain integer elements")
+
+
+def _ref_pair_labels(spec, clause, x, y):
+    lb = clause.labeler
+    if lb == "sum":
+        return (group_add(spec, x, y),)
+    if lb == "diff":
+        return (group_sub(spec, x, y),)
+    if lb == "abs_diff_and_sum":
+        _ref_require_ints(spec, lb)
+        return (abs(x - y), x + y)
+    if lb == "square_plus":
+        return (group_add(spec, group_mul(spec, x, x), y),)
+    if lb == "square_minus":
+        _ref_require_ints(spec, lb)
+        return (x * x - y,)
+    if lb == "product_minus_one":
+        if isinstance(spec, Integers):
+            return (x * y - 1,)
+        return (group_sub(spec, group_mul(spec, x, y), 1),)
+    if lb == "two_product_minus_one":
+        _ref_require_ints(spec, lb)
+        return (2 * x * y - 1,)
+    if lb == "two_product_plus_one":
+        _ref_require_ints(spec, lb)
+        return (2 * x * y + 1,)
+    if lb == "affine_product":
+        return (group_add(spec, clause.a0, group_mul(spec, x, y)),)
+    _ref_require_ints(spec, lb)
+    return (abs(x * x - y * y),)
+
+
+def _reference_check(arrangement, constraint):
+    """check() as it was before it worked on columns: one label
+    computation per window, through the one-element group ops."""
+    spec = arrangement.spec
+    elems = arrangement.elements
+    n = len(elems)
+    viols = []
+    if constraint.first is not None and elems[0] != constraint.first:
+        viols.append(Violation(None, (0,), f"position 0 must hold {constraint.first!r}"))
+    if constraint.last is not None and elems[-1] != constraint.last:
+        viols.append(Violation(None, (n - 1,), f"last position must hold {constraint.last!r}"))
+    edges = arrangement.edge_index_pairs()
+    triples = arrangement.triple_index_runs()
+    for ci, cl in enumerate(constraint.clauses):
+        if isinstance(cl, RainbowClause):
+            if cl.kind == "triple":
+                if arrangement.shape == CIRCULAR and 1 < n < 3:
+                    viols.append(Violation(ci, (), "triple labels need length >= 3"))
+                    continue
+                labeled = [
+                    (_ref_rainbow_triple_label(spec, cl, elems[a], elems[b], elems[c]), (a, b, c))
+                    for a, b, c in triples
+                ]
+            else:
+                labeled = [
+                    (_ref_rainbow_label(spec, cl, elems[a], elems[b]), (a, b)) for a, b in edges
+                ]
+            seen = {}
+            for lab, pos in labeled:
+                if lab in seen:
+                    viols.append(Violation(
+                        ci, seen[lab] + pos,
+                        f"label {lab!r} repeats at positions {seen[lab]} and {pos}"))
+                    break
+                seen[lab] = pos
+        else:
+            truths = _predicate_evaluator(spec, cl.predicate)
+            if not edges:
+                continue
+            labels = [_ref_pair_labels(spec, cl, elems[a], elems[b]) for a, b in edges]
+            flat = [v for vals in labels for v in vals]
+            bad = truths([flat])[0].find(0)
+            if bad >= 0:
+                a, b = edges[bad // len(labels[0])]
+                viols.append(Violation(
+                    ci, (a, b),
+                    f"label {flat[bad]!r} at positions ({a}, {b}) fails "
+                    f"{cl.predicate.describe()}"))
+    return CheckReport(not viols, tuple(viols))
+
+
+def _report_or_error(checker, arrangement, constraint):
+    try:
+        return checker(arrangement, constraint)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# each parity ground with the predicates asked of it; over Z^2 and
+# Z/2 x Z/4 every predicate raises, which the two checkers must share
+_PARITY_GROUNDS = (
+    (Z, range(-12, 30), _INTEGER_PREDICATES),
+    (CyclicProduct((30,)), range(30), _INTEGER_PREDICATES),
+    (CyclicProduct((2, 4)), _group_elements((2, 4)), (PredicateSpec("prime"),)),
+    (PrimeField(7), range(7), tuple(PredicateSpec(k, (7,)) for k in MODULAR_KINDS)
+     + (PredicateSpec("prime"), PredicateSpec("coprime_to", (6,)))),
+    (field_spec_for(8), range(8), tuple(PredicateSpec(k, (8,)) for k in MODULAR_KINDS)),
+    (field_spec_for(9), range(9), tuple(PredicateSpec(k, (9,)) for k in MODULAR_KINDS)),
+    (IntegerVectors(2), [(x, y) for x in range(-3, 4) for y in range(-3, 4)],
+     (PredicateSpec("coprime_to", (6,)),)),
+)
+_PARITY_RAINBOW = ("sum", "diff", "distance", "weighted", "triple", "product")
+
+
+@st.composite
+def parity_cases(draw):
+    """An arrangement of 1 to 12 elements of a parity ground, either shape,
+    under one to three clauses of any kind or labeler, with or without
+    pins.  On 8 elements or fewer, half the time the arrangement is a
+    witness search() found, so clean and failing arrangements both come
+    up; an instance with no witness or an invalid clause keeps the drawn
+    order."""
+    spec, pool, predicates = draw(st.sampled_from(_PARITY_GROUNDS))
+    pool = list(pool)
+    n = draw(st.integers(1, min(12, len(pool))))
+    elems = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True))
+    clauses = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            modulus = draw(st.none() | st.integers(2, 9))
+            clauses.append(RainbowClause(draw(st.sampled_from(_PARITY_RAINBOW)), modulus))
+        else:
+            labeler = draw(st.sampled_from(_ALL_LABELERS))
+            a0 = draw(st.sampled_from(pool)) if labeler == "affine_product" else None
+            clauses.append(PredicateClause(draw(st.sampled_from(predicates)), labeler, a0=a0))
+    shape = draw(st.sampled_from([LINEAR, CIRCULAR]))
+    first = draw(st.none() | st.sampled_from(elems))
+    last = draw(st.none() | st.sampled_from(elems))
+    cons = Constraint(tuple(clauses), first=first, last=last)
+    if n <= 8 and draw(st.booleans()):
+        try:
+            out = search(GroundSet(spec, tuple(elems)), shape, cons, budget=2000)
+        except ValueError:
+            out = None
+        if out is not None and out.witness is not None:
+            elems = list(out.witness.elements)
+    return Arrangement(spec, shape, tuple(elems)), cons
+
+
+class TestCheckParity:
+    """check() on columns against the per-window checker it replaced:
+    the same report, violation for violation, or the same error."""
+
+    @given(parity_cases())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_per_window_check(self, case):
+        arr, cons = case
+        assert _report_or_error(check, arr, cons) == _report_or_error(_reference_check, arr, cons)
+
+    @pytest.mark.parametrize("spec, pool, predicates", _PARITY_GROUNDS, ids=lambda v: repr(v)[:24])
+    def test_every_order_of_a_small_ground(self, spec, pool, predicates):
+        # every order of four or five elements, so that each clause meets
+        # arrangements with and without a repeated label or failing edge
+        elems = [-3, 0, 1, 4, 9] if spec == Z else list(pool)[:5]
+        clauses = [RainbowClause(k, m) for k in _PARITY_RAINBOW for m in (None, 4)]
+        clauses += [_clause(pred, lb, elems[1]) for pred in predicates for lb in _ALL_LABELERS]
+        outcomes = set()
+        for cl in clauses:
+            for shape in (LINEAR, CIRCULAR):
+                for order in permutations(elems[: 4 if isinstance(cl, PredicateClause) else 5]):
+                    arr = Arrangement(spec, shape, order)
+                    cons = Constraint((cl,), first=elems[0])
+                    got = _report_or_error(check, arr, cons)
+                    assert got == _report_or_error(_reference_check, arr, cons), (arr, cl)
+                    outcomes.add(got if isinstance(got, str) else got.ok)
+        assert {True, False} <= outcomes
+
+    def test_abs_diff_and_sum_reports_the_first_failing_label(self):
+        # 5 - 3 = 2 is prime, 5 + 3 = 8 is not: the edge fails on its sum,
+        # before the next edge's difference 3 - 2 = 1 is met
+        arr = Arrangement(Z, LINEAR, (5, 3, 2))
+        report = check(arr, predicate("prime", (), "abs_diff_and_sum"))
+        assert report == _reference_check(arr, predicate("prime", (), "abs_diff_and_sum"))
+        assert report.first.positions == (0, 1)
+        assert report.first.message == "label 8 at positions (0, 1) fails prime"
+
+    def test_modulus_on_tuple_labels(self):
+        spec = CyclicProduct((2, 4))
+        cons = rainbow("sum", modulus=3)
+        with pytest.raises(ValueError, match="^modulus applies to integer labels only$"):
+            check(Arrangement(spec, LINEAR, ((0, 0), (1, 1))), cons)
+        # a single element has no labels, so nothing to reduce
+        assert check(Arrangement(spec, CIRCULAR, ((0, 0),)), cons).ok
