@@ -126,14 +126,6 @@ GroupSpec = Integers | IntegerVectors | CyclicProduct | PrimeField | PrimePowerF
 Element = int | tuple
 
 
-def rank(spec: GroupSpec) -> int:
-    if isinstance(spec, IntegerVectors):
-        return spec.rank
-    if isinstance(spec, CyclicProduct):
-        return len(spec.moduli)
-    return 1
-
-
 def _uses_tuples(spec: GroupSpec) -> bool:
     return (isinstance(spec, IntegerVectors) and spec.rank >= 1) or (
         isinstance(spec, CyclicProduct) and len(spec.moduli) > 1
@@ -679,7 +671,10 @@ def element_from_coords(spec: GroupSpec, coords: list[int]) -> Element:
             out += (c % spec.p) * mul
             mul *= spec.p
         return out
-    expected = rank(spec)
+    if isinstance(spec, IntegerVectors):
+        expected = spec.rank
+    else:
+        expected = len(spec.moduli) if isinstance(spec, CyclicProduct) else 1
     if len(coords) != expected:
         raise ValueError(f"expected {expected} coordinates, got {coords}")
     if _uses_tuples(spec):

@@ -34,6 +34,7 @@ from .conjectures import (
     counterexample_fixtures,
     golden_fixtures,
     instance,
+    record_key,
     run_counterexample,
     verify_range,
 )
@@ -169,48 +170,32 @@ def _parse_elements(raw: str) -> list[int]:
         raise SystemExit(f"--elements must be comma-separated integers, got {raw!r}")
 
 
+_CONSTRUCTIONS = {
+    "thm1.1": lambda args: zigzag_distances(sorted(_parse_elements(args.elements))),
+    "cor1.1": lambda args: prime_circle_distinct_distances(args.n),
+    "thm1.2i": lambda args: circular_distinct_diffs(args.n),
+    "thm1.2ii": lambda args: mod_distinct_diffs(args.n),
+    "thm1.3": lambda args: weighted_sum_cycle(_parse_elements(args.elements)),
+    "thm1.4": lambda args: triple_sum_cycle(_parse_elements(args.elements)),
+    "thm1.5": lambda args: reduced_residue_cycle(args.n),
+    "thm1.6": lambda args: qr_cycle(args.q, args.op, args.target),
+    "rem1.2": lambda args: repair_adjacent_sums(_parse_elements(args.elements)),
+    "rem3.11": lambda args: coprime_circle_odd(args.n),
+}
+
+
 def cmd_construct(args) -> int:
-    name = args.what
     try:
-        if name == "thm1.1":
-            arr = zigzag_distances(sorted(_parse_elements(args.elements)))
-        elif name == "cor1.1":
-            arr = prime_circle_distinct_distances(args.n)
-        elif name == "thm1.2i":
-            arr = circular_distinct_diffs(args.n)
-        elif name == "thm1.2ii":
-            arr = mod_distinct_diffs(args.n)
-        elif name == "thm1.3":
-            arr = weighted_sum_cycle(_parse_elements(args.elements))
-        elif name == "thm1.4":
-            arr = triple_sum_cycle(_parse_elements(args.elements))
-        elif name == "thm1.5":
-            arr = reduced_residue_cycle(args.n)
-        elif name == "thm1.6":
-            got = qr_cycle(args.q, args.op, args.target)
-            if got is None:
-                print(
-                    json.dumps(
-                        {
-                            "status": "not_found",
-                            "q": args.q,
-                            "op": args.op,
-                            "target": args.target,
-                            "reason": "no primitive element with the shifted square in the target class",
-                        }
-                    )
-                )
-                return EXIT_NEGATIVE
-            arr = got
-        elif name == "rem1.2":
-            arr = repair_adjacent_sums(_parse_elements(args.elements))
-        elif name == "rem3.11":
-            arr = coprime_circle_odd(args.n)
-        else:
-            raise SystemExit(f"unknown construction {name!r}")
+        arr = _CONSTRUCTIONS[args.what](args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if arr is None:  # thm1.6 found no suitable generator
+        print(json.dumps({
+            "status": "not_found", "q": args.q, "op": args.op, "target": args.target,
+            "reason": "no primitive element with the shifted square in the target class",
+        }))
+        return EXIT_NEGATIVE
     _emit(arrangement_to_dict(arr), args.out)
     return EXIT_OK
 
@@ -301,7 +286,6 @@ def _resume_keys(path: str) -> set:
     keep = len(data)
     if data and not data.endswith(b"\n"):
         keep = data.rfind(b"\n") + 1
-    good = 0
     for line in data[:keep].splitlines():
         if not line.strip():
             continue
@@ -311,10 +295,9 @@ def _resume_keys(path: str) -> set:
             # structurally broken mid-file line: stop trusting from here on
             keep = data.find(line)
             break
-        good += 1
         if doc.get("type") == "header":
             continue
-        keys.add((doc["conjecture"], json.dumps(doc["params"], sort_keys=True)))
+        keys.add(record_key(doc["conjecture"], doc["params"]))
     if keep < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(keep)
@@ -443,13 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="run one of the named constructions")
-    c.add_argument(
-        "what",
-        choices=[
-            "thm1.1", "cor1.1", "thm1.2i", "thm1.2ii", "thm1.3", "thm1.4",
-            "thm1.5", "thm1.6", "rem1.2", "rem3.11",
-        ],
-    )
+    c.add_argument("what", choices=list(_CONSTRUCTIONS))
     c.add_argument("--n", type=int, help="size parameter")
     c.add_argument("--elements", help="comma-separated integers")
     c.add_argument("--q", type=int, help="field size (thm1.6)")

@@ -51,10 +51,13 @@ instances from (conjecture, params).
 
 from __future__ import annotations
 
+import json
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
+from math import comb
 
 from . import __version__
 from .algebra import (
@@ -80,6 +83,7 @@ from .search import (
     PredicateClause,
     RainbowClause,
     check,
+    check_pair_numbering,
     search,
     search_pair_numbering,
 )
@@ -92,6 +96,8 @@ __all__ = [
     "iter_params",
     "oracle_params",
     "describe",
+    "record_key",
+    "run_counterexample",
     "run_instance",
     "verify_range",
     "golden_fixtures",
@@ -109,9 +115,13 @@ class Instance:
     constraint: Constraint
     precondition_ok: bool = True
     note: str = ""
-    mode: str = "search"  # search | pair | two-phase | qr
+    mode: str = "search"  # a key of _RUNNERS: search | pair | two-phase | qr
     pinned_constraint: Constraint | None = None  # two-phase only
-    qr_args: tuple | None = None  # (q, op, target)
+
+
+def record_key(conjecture_id: str, params: dict) -> tuple:
+    """What a record is known by on resume: its id and its sorted params."""
+    return (conjecture_id, json.dumps(params, sort_keys=True))
 
 
 @dataclass(frozen=True)
@@ -126,9 +136,7 @@ class VerificationRecord:
     note: str = ""
 
     def key(self) -> tuple:
-        import json
-
-        return (self.conjecture, json.dumps(self.params, sort_keys=True))
+        return record_key(self.conjecture, self.params)
 
     def to_dict(self) -> dict:
         out = {
@@ -638,7 +646,7 @@ def _build_thm16(params: dict) -> Instance:
     return Instance(
         GroundSet(spec, tuple(squares)), CIRCULAR, constraint,
         note="" if q > 13 else "guaranteed only above 13",
-        mode="qr", qr_args=(q, op, target),
+        mode="qr",
     )
 
 
@@ -691,16 +699,10 @@ def _n_range(lo, hi, start=1):
     return [{"n": n} for n in range(max(lo, start), hi + 1)]
 
 
-def _nck(m: int, n: int) -> int:
-    from math import comb
-
-    return comb(m, n)
-
-
 def _group_oracle(pairs, with_first: bool, cap: int = 8):
     out = []
     for m, n in pairs:
-        for si in range(min(cap, _nck(m, n))):
+        for si in range(min(cap, comb(m, n))):
             base = {"m": m, "g": 0, "n": n, "subset": si}
             if with_first:
                 for fi in range(n) if m <= 6 else (0,):
@@ -719,10 +721,6 @@ class _Family:
     describe: str
 
 
-def _f(id, build, iterp, oracle, describe):
-    return _Family(id, build, iterp, oracle, describe)
-
-
 _REGISTRY: dict[str, _Family] = {}
 
 
@@ -730,7 +728,7 @@ def _register(fam: _Family):
     _REGISTRY[fam.id] = fam
 
 
-_register(_f(
+_register(_Family(
     "3.1", _build_31,
     lambda lo, hi, seed, family: list(_int_subset_params(lo, hi, seed, True)),
     lambda: [
@@ -742,7 +740,7 @@ _register(_f(
     "linear distance rainbow with designated first element",
 ))
 
-_register(_f(
+_register(_Family(
     "3.2", _build_32,
     lambda lo, hi, seed, family: list(_int_subset_params(lo, hi, seed, False)),
     lambda: [
@@ -753,7 +751,7 @@ _register(_f(
     "distance-rainbow cycle implies one with extremes adjacent",
 ))
 
-_register(_f(
+_register(_Family(
     "3.3", _build_33,
     lambda lo, hi, seed, family: list(_group_subset_params(lo, hi, seed, 2, True)),
     lambda: _group_oracle([(5, 3), (5, 4), (6, 3), (7, 4)], True)
@@ -761,28 +759,28 @@ _register(_f(
     "linear difference rainbow over a finite abelian group",
 ))
 
-_register(_f(
+_register(_Family(
     "3.4i", lambda p: _build_34(p, diff=False),
     lambda lo, hi, seed, family: list(_group_subset_params(lo, hi, seed, 3, False)),
     lambda: _group_oracle([(6, 3), (6, 4), (7, 3), (7, 5)], False),
     "sum-rainbow cycle over a finite abelian group",
 ))
 
-_register(_f(
+_register(_Family(
     "3.4ii", lambda p: _build_34(p, diff=True),
     lambda lo, hi, seed, family: list(_group_subset_params(lo, hi, seed, 4, False)),
     lambda: _group_oracle([(6, 4), (7, 4), (8, 5)], False),
     "difference-rainbow cycle over a finite abelian group",
 ))
 
-_register(_f(
+_register(_Family(
     "3.5i", _build_35i,
     lambda lo, hi, seed, family: list(_group_subset_params(lo, hi, seed, 4, False)),
     lambda: _group_oracle([(5, 4), (7, 4), (8, 5)], False),
     "x + 2y rainbow cycle over groups of order coprime to 3",
 ))
 
-_register(_f(
+_register(_Family(
     "3.5ii", _build_35ii,
     lambda lo, hi, seed, family: [
         p for p in _group_subset_params(lo, hi, seed, 4, False) if p["n"] <= 6
@@ -791,7 +789,7 @@ _register(_f(
     "paired numberings with a_i + 2 b_i distinct",
 ))
 
-_register(_f(
+_register(_Family(
     "3.6", _build_36,
     lambda lo, hi, seed, family: list(_group_subset_params(lo, hi, seed, 4, False)),
     lambda: _group_oracle([(6, 4), (7, 4), (7, 5)], False)
@@ -799,7 +797,7 @@ _register(_f(
     "consecutive-triple-sum rainbow cycle over a finite abelian group",
 ))
 
-_register(_f(
+_register(_Family(
     "3.7i", _build_37i,
     lambda lo, hi, seed, family: [{"q": q} for q in _prime_powers_in(lo, hi)
                                   if q > 7],
@@ -807,60 +805,60 @@ _register(_f(
     "cycle of all field elements with primitive sums",
 ))
 
-_register(_f(
+_register(_Family(
     "3.7ii-sums", lambda p: _build_37ii(p, "sum"),
     lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
     lambda: [{"p": p} for p in (11, 13)],
     "cycle of 1..(p-1)/2 with sums primitive roots mod p",
 ))
 
-_register(_f(
+_register(_Family(
     "3.7ii-diffs", lambda p: _build_37ii(p, "diff"),
     lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
     lambda: [{"p": p} for p in (11, 13)],
     "cycle of 1..(p-1)/2 with differences primitive roots mod p",
 ))
 
-_register(_f(
+_register(_Family(
     "3.8-sums", lambda p: _build_38(p, "sum"),
     lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
     lambda: [{"p": p} for p in (11, 13)],
     "cycle of the quadratic residues with primitive sums",
 ))
 
-_register(_f(
+_register(_Family(
     "3.8-diffs", lambda p: _build_38(p, "diff"),
     lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
     lambda: [{"p": p} for p in (11, 13)],
     "cycle of the quadratic residues with primitive differences",
 ))
 
-_register(_f(
+_register(_Family(
     "3.9i-sums", lambda p: _build_39(p, primitive=False, plus=True),
     lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
     lambda: [{"p": p} for p in (11, 13)],
     "cycle of 1..(p-1)/2 with x^2+y quadratic residues",
 ))
-_register(_f(
+_register(_Family(
     "3.9i-diffs", lambda p: _build_39(p, primitive=False, plus=False),
     lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
     lambda: [{"p": p} for p in (11, 13)],
     "cycle of 1..(p-1)/2 with x^2-y quadratic residues",
 ))
-_register(_f(
+_register(_Family(
     "3.9ii-sums", lambda p: _build_39(p, primitive=True, plus=True),
     lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
     lambda: [{"p": p} for p in (11, 13)],
     "cycle of 1..(p-1)/2 with x^2+y primitive roots",
 ))
-_register(_f(
+_register(_Family(
     "3.9ii-diffs", lambda p: _build_39(p, primitive=True, plus=False),
     lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
     lambda: [{"p": p} for p in (11, 13)],
     "cycle of 1..(p-1)/2 with x^2-y primitive roots",
 ))
 
-_register(_f(
+_register(_Family(
     "3.10", _build_310,
     lambda lo, hi, seed, family: [
         {"q": q, "a0": a0}
@@ -871,21 +869,21 @@ _register(_f(
     "cycle of nonzero field elements with a0 + xy primitive",
 ))
 
-_register(_f(
+_register(_Family(
     "3.11", lambda p: _build_311(p),
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in range(1, 7)] + [{"n": 7, "fixture": 90}],
     "cycle of 0..n pinned (0,..,n), sums coprime to n-1 and n+1",
 ))
 
-_register(_f(
+_register(_Family(
     "3.11-guess", lambda p: _build_311(p, guess=True),
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in range(1, 7)],
     "guessed variant: sums coprime to 2n-1 and 2n+1",
 ))
 
-_register(_f(
+_register(_Family(
     "3.12i", lambda p: _build_312(p, diff=False),
     lambda lo, hi, seed, family: list(
         _int_subset_params(lo, hi, seed, False, min_n=3, nonzero=True)
@@ -897,7 +895,7 @@ _register(_f(
     "cycle of nonzero integers, sums and products both rainbow",
 ))
 
-_register(_f(
+_register(_Family(
     "3.12ii", lambda p: _build_312(p, diff=True),
     lambda lo, hi, seed, family: list(
         _int_subset_params(lo, hi, seed, False, min_n=4, nonzero=True)
@@ -909,75 +907,75 @@ _register(_f(
     "cycle of nonzero integers, differences and products both rainbow",
 ))
 
-_register(_f(
+_register(_Family(
     "3.13", _build_313,
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in range(1, 7)],
     "cycle of 0..n with twin-prime-index sums",
 ))
 
-_register(_f(
+_register(_Family(
     "3.14", _build_314,
     lambda lo, hi, seed, family: _n_range(lo, hi, start=3),
     lambda: [{"n": n} for n in range(3, 7)],
     "cycle of 0..n with sums k having 6k-1, 12k-1 prime",
 ))
 
-_register(_f(
+_register(_Family(
     "3.15i", lambda p: _build_315(p, squares=False),
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in range(1, 7)],
     "cycle of 0..n, both |x-y| and x+y of half-prime form",
 ))
 
-_register(_f(
+_register(_Family(
     "3.15ii", lambda p: _build_315(p, squares=True),
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in range(1, 7)],
     "cycle of 0..n with |x^2-y^2| of half-prime form",
 ))
 
-_register(_f(
+_register(_Family(
     "3.16", _build_316,
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in range(1, 7)],
     "cycle of 0..n pinned (0,..,1) with x^2+y of half-prime form",
 ))
 
-_register(_f(
+_register(_Family(
     "3.17i", lambda p: _build_317(p, second=False),
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in range(1, 7)],
     "cycle of 0..n with x^2+y of the form (p-1)/4, p = 1 mod 4",
 ))
 
-_register(_f(
+_register(_Family(
     "3.17ii", lambda p: _build_317(p, second=True),
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in range(1, 7)],
     "pinned cycle of 0..n with x^2+y of the form (p+1)/4, p = 3 mod 4",
 ))
 
-_register(_f(
+_register(_Family(
     "3.18a", lambda p: _build_318(p, "a"),
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in (6, 7)],
     "cycle of 1..n with xy - 1 prime",
 ))
-_register(_f(
+_register(_Family(
     "3.18b", lambda p: _build_318(p, "b"),
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in range(2, 8)],
     "cycle of 1..n with 2xy - 1 prime",
 ))
-_register(_f(
+_register(_Family(
     "3.18c", lambda p: _build_318(p, "c"),
     lambda lo, hi, seed, family: _n_range(lo, hi),
     lambda: [{"n": n} for n in range(1, 8) if n != 4],
     "cycle of 1..n with 2xy + 1 prime",
 ))
 
-_register(_f(
+_register(_Family(
     "filz", _build_filz,
     lambda lo, hi, seed, family: [{"n": n} for n in range(max(lo, 2), hi + 1)
                                   if n % 2 == 0],
@@ -985,7 +983,7 @@ _register(_f(
     "cycle of 1..n (even) with prime sums",
 ))
 
-_register(_f(
+_register(_Family(
     "thm1.6-range", _build_thm16,
     lambda lo, hi, seed, family: [
         {"q": q, "op": op, "target": t}
@@ -1038,8 +1036,75 @@ def oracle_params(conjecture_id: str) -> list[dict]:
 # --- running ---------------------------------------------------------------------
 
 
-def _witness_coords(ground: GroundSet, arrangement) -> list:
-    return [element_coords(ground.spec, x) for x in arrangement.elements]
+def _witness_coords(spec, elements) -> list:
+    return [element_coords(spec, x) for x in elements]
+
+
+def _run_search(cid: str, params: dict, inst: Instance, budget: int,
+                constraint: Constraint | None = None, nodes: int = 0, ms: int = 0,
+                note: str = "") -> VerificationRecord:
+    """Search, then turn the outcome into a record: the runner of plain
+    existence questions, and the one search-to-record step of the others,
+    which pass another constraint, the cost already spent and a note.
+    search() re-checks the witness it returns."""
+    out = search(inst.ground, inst.shape,
+                 inst.constraint if constraint is None else constraint, budget)
+    witness = None
+    if out.status == "witness":
+        witness = _witness_coords(inst.ground.spec, out.witness.elements)
+    return VerificationRecord(cid, params, out.status, witness, nodes + out.nodes,
+                              ms + out.elapsed_ms, note=note)
+
+
+def _run_pair(cid: str, params: dict, inst: Instance, budget: int) -> VerificationRecord:
+    po = search_pair_numbering(inst.ground, budget)
+    if po.status != "witness":
+        return VerificationRecord(cid, params, po.status, None, po.nodes, po.elapsed_ms)
+    spec = inst.ground.spec
+    if not check_pair_numbering(spec, po.a, po.b):
+        raise RuntimeError(
+            f"search_pair_numbering produced an invalid numbering: a = {po.a}, b = {po.b}"
+        )
+    return VerificationRecord(
+        cid, params, "witness", _witness_coords(spec, po.a + po.b), po.nodes,
+        po.elapsed_ms, note="witness holds both numberings, a then b",
+    )
+
+
+def _run_two_phase(cid: str, params: dict, inst: Instance, budget: int) -> VerificationRecord:
+    free = _run_search(cid, params, inst, budget)
+    if free.status == "budget":
+        return free
+    if free.status == "exhausted":
+        return replace(free, status="skipped-precondition",
+                       note="no unpinned witness; implication is vacuous")
+    rec = _run_search(cid, params, inst, budget, inst.pinned_constraint,
+                      free.nodes, free.elapsed_ms)
+    if rec.status == "exhausted":
+        return replace(rec, note="unpinned witness exists but no pinned one: implication fails")
+    return rec
+
+
+def _run_qr(cid: str, params: dict, inst: Instance, budget: int) -> VerificationRecord:
+    t0 = time.perf_counter()
+    arr = qr_cycle(params["q"], _OPS[params["op"]], _TARGETS[params["target"]])
+    ms = int((time.perf_counter() - t0) * 1000)
+    if arr is None:
+        # the construction does not apply, which says nothing about
+        # existence: the exact search decides
+        return _run_search(cid, params, inst, budget, ms=ms,
+                           note="no generator with the shifted square in the target class")
+    report = check(arr, inst.constraint)
+    if not report.ok:
+        raise RuntimeError(f"qr_cycle produced an invalid arrangement: {report.first.message}")
+    return VerificationRecord(cid, params, "witness",
+                              _witness_coords(arr.spec, arr.elements), 0, ms)
+
+
+# Instance.mode -> its runner, (id, params, instance, budget) -> record; each
+# runner re-checks a witness before recording it
+_RUNNERS = {"search": _run_search, "pair": _run_pair, "two-phase": _run_two_phase,
+            "qr": _run_qr}
 
 
 def run_instance(conjecture_id: str, params: dict,
@@ -1051,83 +1116,16 @@ def run_instance(conjecture_id: str, params: dict,
         return VerificationRecord(
             conjecture_id, params, "skipped-precondition", None, 0, 0, note=inst.note
         )
-    if inst.mode == "pair":
-        po = search_pair_numbering(inst.ground, budget)
-        witness = None
-        if po.status == "witness":
-            from .search import check_pair_numbering
-
-            assert check_pair_numbering(inst.ground.spec, po.a, po.b)
-            witness = [element_coords(inst.ground.spec, x) for x in po.a + po.b]
-        return VerificationRecord(
-            conjecture_id, params, po.status, witness, po.nodes, po.elapsed_ms,
-            note="witness holds both numberings, a then b" if witness else "",
-        )
-    if inst.mode == "qr":
-        q, op, target = inst.qr_args
-        import time
-
-        t0 = time.perf_counter()
-        arr = qr_cycle(q, op, target)
-        ms = int((time.perf_counter() - t0) * 1000)
-        if arr is None:
-            # the construction does not apply, which says nothing about
-            # existence: the exact search decides
-            out = search(inst.ground, inst.shape, inst.constraint, budget)
-            witness = None
-            if out.status == "witness":
-                witness = _witness_coords(inst.ground, out.witness)
-            return VerificationRecord(
-                conjecture_id, params, out.status, witness, out.nodes,
-                ms + out.elapsed_ms,
-                note="no generator with the shifted square in the target class",
-            )
-        report = check(arr, inst.constraint)
-        if not report.ok:
-            raise RuntimeError(f"qr_cycle produced an invalid arrangement: {report.first.message}")
-        return VerificationRecord(
-            conjecture_id, params, "witness",
-            _witness_coords(GroundSet(arr.spec, arr.elements), arr), 0, ms,
-        )
-    if inst.mode == "two-phase":
-        free = search(inst.ground, inst.shape, inst.constraint, budget)
-        if free.status == "budget":
-            return VerificationRecord(
-                conjecture_id, params, "budget", None, free.nodes, free.elapsed_ms
-            )
-        if free.status == "exhausted":
-            return VerificationRecord(
-                conjecture_id, params, "skipped-precondition", None, free.nodes,
-                free.elapsed_ms, note="no unpinned witness; implication is vacuous",
-            )
-        pinned = search(inst.ground, inst.shape, inst.pinned_constraint, budget)
-        nodes = free.nodes + pinned.nodes
-        ms = free.elapsed_ms + pinned.elapsed_ms
-        if pinned.status == "witness":
-            return VerificationRecord(
-                conjecture_id, params, "witness",
-                _witness_coords(inst.ground, pinned.witness), nodes, ms,
-            )
-        if pinned.status == "exhausted":
-            return VerificationRecord(
-                conjecture_id, params, "exhausted", None, nodes, ms,
-                note="unpinned witness exists but no pinned one: implication fails",
-            )
-        return VerificationRecord(conjecture_id, params, "budget", None, nodes, ms)
-    out = search(inst.ground, inst.shape, inst.constraint, budget)
-    witness = None
-    if out.status == "witness":
-        witness = _witness_coords(inst.ground, out.witness)
-    return VerificationRecord(
-        conjecture_id, params, out.status, witness, out.nodes, out.elapsed_ms
-    )
+    return _RUNNERS[inst.mode](conjecture_id, params, inst, budget)
 
 
-def _worker(job):
-    cid, params, budget, force = job
-    if force:
-        return run_counterexample(cid, params, budget)
-    return run_instance(cid, params, budget)
+def run_counterexample(cid: str, params: dict,
+                       budget: int = DEFAULT_BUDGET) -> VerificationRecord:
+    """run_instance without the precondition gate: counterexample instances
+    are searched even when their precondition marks them out of a
+    conjecture's scope (that is the point)."""
+    inst = instance(cid, params)
+    return _RUNNERS[inst.mode](cid, params, inst, budget)
 
 
 def verify_range(conjecture_id: str, lo: int, hi: int, *,
@@ -1139,19 +1137,17 @@ def verify_range(conjecture_id: str, lo: int, hi: int, *,
     skip_keys (resume) are not re-searched.  The exceptional family is
     searched despite failing its conjecture's precondition: demonstrating
     exhaustion is its whole point."""
-    force = family == "exceptional"
-    plan = []
-    for params in iter_params(conjecture_id, lo, hi, seed, family):
-        rec_key = VerificationRecord(conjecture_id, params, "", None, 0, 0).key()
-        if skip_keys and rec_key in skip_keys:
-            continue
-        plan.append((conjecture_id, params, budget, force))
+    run = run_counterexample if family == "exceptional" else run_instance
+    plan = [
+        params for params in iter_params(conjecture_id, lo, hi, seed, family)
+        if not skip_keys or record_key(conjecture_id, params) not in skip_keys
+    ]
     if jobs <= 1:
-        for job in plan:
-            yield _worker(job)
+        for params in plan:
+            yield run(conjecture_id, params, budget)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_worker, job) for job in plan]
+        futures = [pool.submit(run, conjecture_id, params, budget) for params in plan]
         for fut in futures:
             yield fut.result()
 
@@ -1235,15 +1231,3 @@ def counterexample_fixtures() -> list[tuple[str, dict, str]]:
     out.append(("3.11", {"n": 7}, "witness"))
     return out
 
-
-def run_counterexample(cid: str, params: dict,
-                       budget: int = DEFAULT_BUDGET) -> VerificationRecord:
-    """Counterexample instances are searched even when their precondition
-    marks them out of a conjecture's scope (that is the point)."""
-    inst = instance(cid, params)
-    out = search(inst.ground, inst.shape, inst.constraint, budget)
-    witness = None
-    if out.status == "witness":
-        witness = _witness_coords(inst.ground, out.witness)
-    return VerificationRecord(cid, params, out.status, witness, out.nodes,
-                              out.elapsed_ms)

@@ -54,7 +54,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, permutations
 from operator import add, mul, sub
 
 from .algebra import (
@@ -1090,8 +1090,6 @@ def brute_force_enumerate(
     """Naive enumeration of all permutations, deduplicated by canonical form.
     The definitional oracle the search kernel is validated against; capped at
     ground sets of size 9."""
-    from itertools import permutations
-
     n = len(ground)
     if n > BRUTE_FORCE_MAX:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX} elements, got {n}")
@@ -1162,16 +1160,13 @@ def check_pair_numbering(spec: GroupSpec, a: tuple, b: tuple) -> bool:
     """Whether the n values a_i + 2*b_i are pairwise distinct."""
     if sorted(a) != sorted(b):
         return False
-    vals = {group_add(spec, x, group_double(spec, y)) for x, y in zip(a, b)}
-    return len(vals) == len(a)
+    return len(set(rainbow_labels(spec, RainbowClause(RB_WEIGHTED), a, b))) == len(a)
 
 
 def search_pair_numbering(ground: GroundSet, budget: int = DEFAULT_BUDGET) -> PairOutcome:
     """Two numberings a, b of the same set with a_i + 2*b_i pairwise
     distinct.  Only the pairing matters, so this walks bijections directly;
     factorial-squared growth is avoided but the entry point is still capped."""
-    from itertools import permutations
-
     n = len(ground)
     if n > PAIR_NUMBERING_MAX:
         raise ValueError(f"pair numbering search capped at {PAIR_NUMBERING_MAX}, got {n}")

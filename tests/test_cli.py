@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from permlab.cli import main
+from permlab.cli import arrangement_from_dict, arrangement_to_dict, main
 
 
 def run(capsys, *argv):
@@ -45,6 +45,24 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "thm1.2ii", "--n", "5")
         assert code == 3
         assert "even" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("thm1.1", "--elements", "0,1,3,7,12"),
+        ("cor1.1", "--n", "6"),
+        ("thm1.2i", "--n", "4"),
+        ("thm1.2ii", "--n", "6"),
+        ("thm1.3", "--elements", "0,5,6,10"),
+        ("thm1.4", "--elements", "0,1,3,7,12,20"),
+        ("thm1.5", "--n", "7"),
+        ("thm1.6", "--q", "17", "--op", "diff", "--target", "T"),
+        ("rem1.2", "--elements", "1,2,3,4,5,6"),
+        ("rem3.11", "--n", "7"),
+    ], ids=lambda argv: argv[0])
+    def test_every_construction_round_trips(self, capsys, argv):
+        code, out, _ = run(capsys, "construct", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert arrangement_to_dict(arrangement_from_dict(doc)) == doc
 
 
 class TestCheck:

@@ -116,6 +116,17 @@ class TestCounterexamples:
             rec = run_counterexample(cid, params)
             assert rec.status == expected, (cid, params, rec.status)
 
+    def test_runs_the_instance_mode(self):
+        # n = 3 fails the precondition of 3.5ii, yet forced through it is
+        # still a paired-numbering question, not a weighted-rainbow cycle
+        params = {"m": 7, "g": 0, "n": 3, "subset": 0}
+        assert run_instance("3.5ii", params).status == "skipped-precondition"
+        rec = run_counterexample("3.5ii", params)
+        assert rec.status == "witness"
+        assert len(rec.witness) == 6
+        assert "both numberings" in rec.note
+        assert replay_witness(rec)
+
 
 class TestRunInstance:
     def test_witness_records_replay(self):
@@ -167,6 +178,18 @@ class TestRunInstance:
         with pytest.raises(RuntimeError, match=r"^qr_cycle produced an invalid arrangement: "
                                                r"label 7 at positions \(1, 2\) fails "):
             run_instance("thm1.6-range", {"q": 13, "op": 0, "target": 0})
+
+    def test_pair_mode_rejects_a_bad_numbering(self, monkeypatch):
+        # over Z/7, a = (0, 1, 2, 3) and b = (1, 0, 2, 3) give the labels
+        # a_i + 2 b_i = 2, 1, 6, 2.  The re-check must hold under python -O.
+        import permlab.conjectures as conjectures
+        from permlab.search import PairOutcome
+
+        bad = PairOutcome("witness", (0, 1, 2, 3), (1, 0, 2, 3), 1, 0)
+        monkeypatch.setattr(conjectures, "search_pair_numbering", lambda ground, budget: bad)
+        with pytest.raises(RuntimeError,
+                           match=r"^search_pair_numbering produced an invalid numbering: "):
+            run_instance("3.5ii", {"m": 7, "g": 0, "n": 4, "subset": 0})
 
     def test_qr_mode_searches_without_generator(self):
         # with no suitable generator the runner falls back to the exact
