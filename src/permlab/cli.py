@@ -275,33 +275,33 @@ def cmd_search(args) -> int:
 # --- verify ----------------------------------------------------------------------
 
 
-def _resume_keys(path: str) -> set:
-    """Keys of complete records already on disk.  A truncated final line is
-    discarded (and trimmed) so the instance is re-run."""
+def _resume_keys(path: str) -> tuple[set, bool]:
+    """Keys of the complete records already on disk, and whether a header
+    is among them.  The file is cut at its first broken line, a truncated
+    final line included, so every record from there on is re-run."""
     keys: set = set()
+    header = False
     if not os.path.exists(path):
-        return keys
+        return keys, header
     with open(path, "rb") as fh:
         data = fh.read()
-    keep = len(data)
-    if data and not data.endswith(b"\n"):
-        keep = data.rfind(b"\n") + 1
-    for line in data[:keep].splitlines():
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            # structurally broken mid-file line: stop trusting from here on
-            keep = data.find(line)
-            break
-        if doc.get("type") == "header":
-            continue
-        keys.add(record_key(doc["conjecture"], doc["params"]))
+    keep = 0
+    # the last piece follows the last newline: empty, or a line cut short
+    for line in data.split(b"\n")[:-1]:
+        if line.strip():
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError:
+                break
+            if doc.get("type") == "header":
+                header = True
+            else:
+                keys.add(record_key(doc["conjecture"], doc["params"]))
+        keep += len(line) + 1
     if keep < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(keep)
-    return keys
+    return keys, header
 
 
 def cmd_verify(args) -> int:
@@ -317,10 +317,11 @@ def cmd_verify(args) -> int:
     skip: set = set()
     sink = None
     if args.out:
+        has_header = False
         if args.resume:
-            skip = _resume_keys(args.out)
+            skip, has_header = _resume_keys(args.out)
         sink = open(args.out, "a", encoding="utf-8")
-        if not skip:
+        if not has_header:
             header = {
                 "type": "header",
                 "conjecture": args.conjecture,
@@ -456,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--budget", type=int, default=default_budget())
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--family", help="alternate instance family (e.g. exceptional)")
+    v.add_argument("--family", choices=["exceptional"],
+                   help="the known exceptions of 3.12i / 3.12ii instead of the sweep")
     v.add_argument("--out", help="append records to this JSONL file")
     v.add_argument("--resume", action="store_true",
                    help="skip instances already recorded in --out")

@@ -56,8 +56,8 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations
-from math import comb
+from itertools import combinations, islice
+from math import comb, prod
 
 from . import __version__
 from .algebra import (
@@ -72,7 +72,6 @@ from .algebra import (
     element_from_coords,
     field_spec_for,
     field_view,
-    group_order,
     sylow2_cyclic,
 )
 from .constructions import qr_cycle
@@ -156,13 +155,31 @@ class VerificationRecord:
 # --- shared generator helpers -------------------------------------------------
 
 
+def _window(m: int, nonzero: bool = False) -> list[int]:
+    return [v for v in range(-m, m + 1) if v or not nonzero]
+
+
 def _window_subsets(m: int, n: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(-m, m + 1), n))
+    return list(combinations(_window(m), n))
 
 
 def _nonzero_window_subsets(m: int, n: int) -> list[tuple[int, ...]]:
-    pool = [v for v in range(-m, m + 1) if v != 0]
-    return list(combinations(pool, n))
+    return list(combinations(_window(m, nonzero=True), n))
+
+
+def _check_index(name: str, i: int, size: int) -> int:
+    """i, if it picks one of size choices.  A negative index would pick from
+    the end, so it is refused like one that is too large."""
+    if not 0 <= i < size:
+        raise ValueError(f"{name} = {i} is out of range: there are {size} to choose from")
+    return i
+
+
+def _nth_subset(pool, n: int, i: int) -> tuple:
+    """The i-th n-subset of pool in combinations() order, without building
+    the list of all of them."""
+    i = _check_index("subset", i, comb(len(pool), n))
+    return next(islice(combinations(pool, n), i, None))
 
 
 def _seeded_int_set(seed: int, n: int, lo: int, hi: int, nonzero: bool = False) -> tuple[int, ...]:
@@ -182,6 +199,14 @@ def _seeded_subset(seed: int, pool: list, n: int) -> tuple:
     return tuple(pool[i] for i in idx)
 
 
+def _int_values(params: dict, nonzero: bool = False) -> tuple[int, ...]:
+    """The integer set of an {n, m, subset} or {n, seed} param map."""
+    n = params["n"]
+    if "subset" in params:
+        return _nth_subset(_window(params["m"], nonzero), n, params["subset"])
+    return _seeded_int_set(params["seed"], n, -3 * n, 3 * n, nonzero)
+
+
 def _int_ground(values) -> GroundSet:
     return GroundSet(Integers(), tuple(sorted(values)))
 
@@ -191,20 +216,13 @@ def _range_ground(lo: int, hi: int) -> GroundSet:
 
 
 # catalog of finite abelian groups by order, cyclic form first
-_GROUPS_BY_ORDER: dict[int, list[tuple[int, ...]]] = {}
-for _m in range(2, 37):
-    _GROUPS_BY_ORDER[_m] = [(_m,)]
-for _extra in [
+_GROUPS_BY_ORDER: dict[int, list[tuple[int, ...]]] = {m: [(m,)] for m in range(2, 37)}
+for _moduli in [
     (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 2, 3), (4, 4), (2, 8),
     (2, 2, 4), (2, 2, 2, 2), (3, 9), (3, 3, 2), (5, 5), (2, 2, 7), (6, 6),
     (2, 18), (3, 12), (2, 2, 9),
 ]:
-    _o = 1
-    for _f in _extra:
-        _o *= _f
-    if _o <= 36:
-        _GROUPS_BY_ORDER.setdefault(_o, [])
-        _GROUPS_BY_ORDER[_o].append(_extra)
+    _GROUPS_BY_ORDER[prod(_moduli)].append(_moduli)
 
 _EXHAUSTIVE_GROUP_ORDER = 8  # all subsets and all designated firsts up to here
 _GROUP_SEEDS = (0, 1, 2)
@@ -223,111 +241,69 @@ def _group_ground(moduli: tuple[int, ...], elements) -> GroundSet:
     return GroundSet(CyclicProduct(moduli), tuple(sorted(elements)))
 
 
-def _resolve_group_subset(params: dict) -> tuple[tuple[int, ...], tuple]:
-    """(moduli, subset elements) from an {m, g, n, subset|seed} param map."""
-    m = params["m"]
-    g = params.get("g", 0)
-    moduli = _GROUPS_BY_ORDER[m][g]
+def _resolve_group_subset(params: dict) -> tuple[tuple[int, ...], GroundSet]:
+    """(moduli, ground) from an {m, g, n, subset|seed} param map."""
+    groups = _GROUPS_BY_ORDER[params["m"]]
+    moduli = groups[_check_index("g", params.get("g", 0), len(groups))]
     pool = _group_elements(moduli)
     n = params["n"]
     if "subset" in params:
-        subset = list(combinations(pool, n))[params["subset"]]
+        subset = _nth_subset(pool, n, params["subset"])
     else:
         subset = _seeded_subset(params["seed"], pool, n)
-    return moduli, subset
+    return moduli, _group_ground(moduli, subset)
 
 
-def _group_subset_params(lo: int, hi: int, seed: int, sizes_from: int, with_first: bool):
-    """Shared iteration for the finite-group conjecture families; primary
-    parameter is the group order m."""
-    for m in range(max(lo, 2), hi + 1):
-        for g, moduli in enumerate(_GROUPS_BY_ORDER.get(m, [])):
-            pool_size = m
-            if g == 0 and m <= _EXHAUSTIVE_GROUP_ORDER:
-                for n in range(sizes_from, m + 1):
-                    total = len(list(combinations(range(pool_size), n)))
-                    for si in range(total):
-                        if with_first:
-                            for fi in range(n):
-                                yield {"m": m, "g": g, "n": n, "subset": si, "first": fi}
-                        else:
-                            yield {"m": m, "g": g, "n": n, "subset": si}
-            else:
-                sizes = list(range(sizes_from, min(m, 9) + 1))
-                if m > 2 and m >= sizes_from:
-                    sizes.append(m)  # the full-group instance
-                for n in sorted(set(sizes)):
-                    for sd in _GROUP_SEEDS:
-                        p = {"m": m, "g": g, "n": n, "seed": sd + seed}
-                        if with_first:
-                            p["first"] = 0
-                        yield p
+def _circle(ground: GroundSet, *clauses, ok: bool = True, note: str = "",
+            first=None, last=None) -> Instance:
+    """A circular search instance.  The note says why the precondition
+    fails, so it is kept only when ok is False."""
+    return Instance(ground, CIRCULAR, Constraint(clauses, first=first, last=last),
+                    precondition_ok=ok, note="" if ok else note)
+
+
+def _clause(kind: str, labeler: str, *params: int) -> PredicateClause:
+    return PredicateClause(PredicateSpec(kind, params), labeler)
 
 
 # --- per-family builders -------------------------------------------------------
 
 
 def _build_31(params: dict) -> Instance:
-    n = params["n"]
-    if "subset" in params:
-        vals = _window_subsets(params["m"], n)[params["subset"]]
-    else:
-        vals = _seeded_int_set(params["seed"], n, -3 * n, 3 * n)
-    first = sorted(vals)[params["first"]]
-    return Instance(
-        _int_ground(vals),
-        LINEAR,
-        Constraint((RainbowClause("distance"),), first=first),
-    )
+    ground = _int_ground(_int_values(params))
+    first = ground.elements[_check_index("first", params["first"], len(ground))]
+    return Instance(ground, LINEAR, Constraint((RainbowClause("distance"),), first=first))
 
 
 def _build_32(params: dict) -> Instance:
-    if params.get("golden") == 1:
-        vals: tuple = (11, 13, 17, 19, 23, 29)
-    elif params.get("golden") == 2:
-        vals = (11, 13, 17, 19, 23, 29)
-    elif "subset" in params:
-        vals = _window_subsets(params["m"], params["n"])[params["subset"]]
-    else:
-        vals = _seeded_int_set(params["seed"], params["n"], -3 * params["n"], 3 * params["n"])
-    svals = sorted(vals)
+    golden = params.get("golden")
+    ground = _int_ground((11, 13, 17, 19, 23, 29) if golden in (1, 2) else _int_values(params))
     free = Constraint((RainbowClause("distance"),))
-    pinned = Constraint((RainbowClause("distance"),), first=svals[0], last=svals[-1])
-    if params.get("golden") == 2:
-        return Instance(_int_ground(vals), CIRCULAR, pinned)
-    if params.get("golden") == 1:
-        return Instance(_int_ground(vals), CIRCULAR, free)
-    return Instance(
-        _int_ground(vals), CIRCULAR, free, mode="two-phase", pinned_constraint=pinned
-    )
-
-
-def _hypothesis_33(n: int, moduli: tuple[int, ...]) -> bool:
-    order = 1
-    for m in moduli:
-        order *= m
-    if order % n != 0:
-        return True
-    return n % 2 == 0 and sylow2_cyclic(CyclicProduct(moduli))
+    pinned = Constraint((RainbowClause("distance"),),
+                        first=ground.elements[0], last=ground.elements[-1])
+    if golden == 2:
+        return Instance(ground, CIRCULAR, pinned)
+    if golden == 1:
+        return Instance(ground, CIRCULAR, free)
+    return Instance(ground, CIRCULAR, free, mode="two-phase", pinned_constraint=pinned)
 
 
 def _build_33(params: dict) -> Instance:
     if params.get("fixture") == 1:
         # full Klein four-group, unpinned: differences always collide
         moduli = (2, 2)
-        subset = _group_elements(moduli)
         return Instance(
-            _group_ground(moduli, subset),
+            _group_ground(moduli, _group_elements(moduli)),
             LINEAR,
             Constraint((RainbowClause("diff"),)),
             note="full Klein four-group",
         )
-    moduli, subset = _resolve_group_subset(params)
+    moduli, ground = _resolve_group_subset(params)
     n = params["n"]
-    first = sorted(subset)[params.get("first", 0)]
-    ok = _hypothesis_33(n, moduli)
+    first = ground.elements[_check_index("first", params.get("first", 0), len(ground))]
+    ok = prod(moduli) % n != 0 or n % 2 == 0 and sylow2_cyclic(CyclicProduct(moduli))
     return Instance(
-        _group_ground(moduli, subset),
+        ground,
         LINEAR,
         Constraint((RainbowClause("diff"),), first=first),
         precondition_ok=ok,
@@ -335,167 +311,75 @@ def _build_33(params: dict) -> Instance:
     )
 
 
-def _hypothesis_34(n: int, moduli: tuple[int, ...]) -> bool:
-    order = 1
-    for m in moduli:
-        order *= m
-    return n % 2 == 1 or order % n != 0
-
-
 def _build_34(params: dict, diff: bool) -> Instance:
-    moduli, subset = _resolve_group_subset(params)
-    n = params["n"]
-    ok = _hypothesis_34(n, moduli)
-    note = "" if ok else "hypothesis on n and |G| fails"
-    if diff:
-        if not (3 < n < group_order(CyclicProduct(moduli))):
-            ok, note = False, "needs 3 < n < |G|"
-        clause = RainbowClause("diff")
-    else:
-        if n < 3:
-            ok, note = False, "two-cycles repeat their single sum"
-        clause = RainbowClause("sum")
-    return Instance(
-        _group_ground(moduli, subset), CIRCULAR, Constraint((clause,)),
-        precondition_ok=ok, note=note,
-    )
+    moduli, ground = _resolve_group_subset(params)
+    n, order = params["n"], prod(moduli)
+    ok, note = n % 2 == 1 or order % n != 0, "hypothesis on n and |G| fails"
+    if diff and not 3 < n < order:
+        ok, note = False, "needs 3 < n < |G|"
+    if not diff and n < 3:
+        ok, note = False, "two-cycles repeat their single sum"
+    return _circle(ground, RainbowClause("diff" if diff else "sum"), ok=ok, note=note)
 
 
 def _build_35i(params: dict) -> Instance:
-    moduli, subset = _resolve_group_subset(params)
-    n = params["n"]
-    order = group_order(CyclicProduct(moduli))
-    ok = order % 3 != 0 and n > 3
-    return Instance(
-        _group_ground(moduli, subset),
-        CIRCULAR,
-        Constraint((RainbowClause("weighted"),)),
-        precondition_ok=ok,
-        note="" if ok else "needs 3 not dividing |G| and n > 3",
-    )
+    moduli, ground = _resolve_group_subset(params)
+    return _circle(ground, RainbowClause("weighted"),
+                   ok=prod(moduli) % 3 != 0 and params["n"] > 3,
+                   note="needs 3 not dividing |G| and n > 3")
 
 
-def _build_35ii(params: dict) -> Instance:
-    moduli, subset = _resolve_group_subset(params)
-    n = params["n"]
-    return Instance(
-        _group_ground(moduli, subset),
-        CIRCULAR,
-        Constraint((RainbowClause("weighted"),)),
-        precondition_ok=n > 3,
-        note="" if n > 3 else "needs n > 3",
-        mode="pair",
-    )
-
-
-def _build_36(params: dict) -> Instance:
-    moduli, subset = _resolve_group_subset(params)
-    n = params["n"]
-    return Instance(
-        _group_ground(moduli, subset),
-        CIRCULAR,
-        Constraint((RainbowClause("triple"),)),
-        precondition_ok=n > 3,
-        note="" if n > 3 else "needs n > 3",
-    )
+def _group_cycle(params: dict, kind: str) -> Instance:
+    """A kind-rainbow cycle of a group subset, stated for n > 3 (3.5ii, 3.6)."""
+    _, ground = _resolve_group_subset(params)
+    return _circle(ground, RainbowClause(kind), ok=params["n"] > 3, note="needs n > 3")
 
 
 def _build_37i(params: dict) -> Instance:
     q = params["q"]
-    spec = field_spec_for(q)
-    ground = GroundSet(spec, tuple(range(q)))
-    constraint = Constraint(
-        (PredicateClause(PredicateSpec("primitive_root_mod", (q,)), "sum"),)
-    )
-    return Instance(
-        ground, CIRCULAR, constraint,
-        precondition_ok=q > 7, note="" if q > 7 else "needs q > 7",
-    )
+    return _circle(GroundSet(field_spec_for(q), tuple(range(q))),
+                   _clause("primitive_root_mod", "sum", q), ok=q > 7, note="needs q > 7")
 
 
-def _build_37ii(params: dict, labeler: str) -> Instance:
-    p = params["p"]
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    n = (p - 1) // 2
-    bound = 19 if labeler == "sum" else 13
-    constraint = Constraint(
-        (PredicateClause(PredicateSpec("primitive_root_mod", (p,)), labeler),)
-    )
-    return Instance(
-        _range_ground(1, n), CIRCULAR, constraint,
-        precondition_ok=p > bound, note="" if p > bound else f"needs p > {bound}",
-    )
+def _half_range(p: int) -> GroundSet:
+    return _range_ground(1, (p - 1) // 2)
 
 
-def _build_38(params: dict, labeler: str) -> Instance:
-    p = params["p"]
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    squares = sorted({r * r % p for r in range(1, p)})
-    bound = 19 if labeler == "sum" else 13
-    constraint = Constraint(
-        (PredicateClause(PredicateSpec("primitive_root_mod", (p,)), labeler),)
-    )
-    return Instance(
-        GroundSet(PrimeField(p), tuple(squares)), CIRCULAR, constraint,
-        precondition_ok=p > bound, note="" if p > bound else f"needs p > {bound}",
-    )
+def _squares_mod(p: int) -> GroundSet:
+    return GroundSet(PrimeField(p), tuple(sorted({r * r % p for r in range(1, p)})))
 
 
-def _build_39(params: dict, primitive: bool, plus: bool) -> Instance:
-    p = params["p"]
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    n = (p - 1) // 2
-    kind = "primitive_root_mod" if primitive else "quadratic_residue_mod"
-    labeler = "square_plus" if plus else "square_minus"
-    bound = 13 if primitive else 11
-    constraint = Constraint((PredicateClause(PredicateSpec(kind, (p,)), labeler),))
-    return Instance(
-        _range_ground(1, n), CIRCULAR, constraint,
-        precondition_ok=p > bound, note="" if p > bound else f"needs p > {bound}",
-    )
+def _odd_prime_cycle(ground, kind: str, labeler: str, bound: int):
+    """The builder of a cycle of ground(p), p an odd prime, whose labels
+    satisfy kind mod p (3.7ii, 3.8, 3.9); stated for p > bound."""
+    def build(params: dict) -> Instance:
+        p = params["p"]
+        if not is_prime(p) or p == 2:
+            raise ValueError(f"p must be an odd prime, got {p}")
+        return _circle(ground(p), _clause(kind, labeler, p), ok=p > bound,
+                       note=f"needs p > {bound}")
+    return build
 
 
 def _build_310(params: dict) -> Instance:
     q = params["q"]
     spec = field_spec_for(q)
     a0 = element_from_coords(spec, element_coords(spec, params["a0"]))
-    ground = GroundSet(spec, tuple(range(1, q)))
-    constraint = Constraint(
-        (
-            PredicateClause(
-                PredicateSpec("primitive_root_mod", (q,)), "affine_product", a0=a0
-            ),
-        )
-    )
-    return Instance(
-        ground, CIRCULAR, constraint,
-        precondition_ok=q > 7, note="" if q > 7 else "needs q > 7",
-    )
+    clause = PredicateClause(PredicateSpec("primitive_root_mod", (q,)), "affine_product", a0=a0)
+    return _circle(GroundSet(spec, tuple(range(1, q))), clause, ok=q > 7, note="needs q > 7")
 
 
 def _build_311(params: dict, guess: bool = False) -> Instance:
     n = params["n"]
     if params.get("fixture") == 90:
-        constraint = Constraint(
-            (PredicateClause(PredicateSpec("coprime_to", (90,)), "sum"),)
-        )
-        return Instance(_range_ground(0, 7), CIRCULAR, constraint,
+        return Instance(_range_ground(0, 7), CIRCULAR,
+                        Constraint((_clause("coprime_to", "sum", 90),)),
                         note="sums coprime to 90, unpinned")
-    lo_mod = 2 * n - 1 if guess else n - 1
-    hi_mod = 2 * n + 1 if guess else n + 1
-    clauses = tuple(
-        PredicateClause(PredicateSpec("coprime_to", (m,)), "sum")
-        for m in (lo_mod, hi_mod)
-    )
-    constraint = Constraint(clauses, first=0, last=n)
-    ok = n >= 1 and n not in (2, 4)
-    return Instance(
-        _range_ground(0, n), CIRCULAR, constraint,
-        precondition_ok=ok, note="" if ok else "n = 2 and n = 4 are excluded",
-    )
+    k = 2 * n if guess else n
+    return _circle(_range_ground(0, n),
+                   _clause("coprime_to", "sum", k - 1), _clause("coprime_to", "sum", k + 1),
+                   ok=n >= 1 and n not in (2, 4), note="n = 2 and n = 4 are excluded",
+                   first=0, last=n)
 
 
 def _sign_pattern(vals: tuple[int, ...]) -> str:
@@ -516,51 +400,25 @@ def _sign_pattern(vals: tuple[int, ...]) -> str:
 
 
 def _build_312(params: dict, diff: bool) -> Instance:
-    n = params["n"]
-    if "subset" in params:
-        vals = _nonzero_window_subsets(params["m"], n)[params["subset"]]
-    else:
-        vals = _seeded_int_set(params["seed"], n, -3 * n, 3 * n, nonzero=True)
-    kind = "diff" if diff else "sum"
-    constraint = Constraint((RainbowClause(kind), RainbowClause("product")))
+    vals = _int_values(params, nonzero=True)
     form = _sign_pattern(vals)
     exceptional = form == "a" if diff else form in ("a", "b", "c")
     min_n = 4 if diff else 3
-    ok = n >= min_n and not exceptional
-    note = ""
-    if exceptional:
-        note = f"exceptional sign pattern ({form})"
-    elif n < min_n:
-        note = f"needs n >= {min_n}"
-    return Instance(
-        _int_ground(vals), CIRCULAR, constraint, precondition_ok=ok, note=note
+    return _circle(
+        _int_ground(vals), RainbowClause("diff" if diff else "sum"), RainbowClause("product"),
+        ok=params["n"] >= min_n and not exceptional,
+        note=f"exceptional sign pattern ({form})" if exceptional else f"needs n >= {min_n}",
     )
 
 
-def _build_simple_cycle(params: dict, pred: PredicateSpec, labeler: str,
-                        excluded: tuple = (), min_n: int = 1) -> Instance:
-    n = params["n"]
-    ok = n >= min_n and n not in excluded
-    constraint = Constraint((PredicateClause(pred, labeler),))
-    return Instance(
-        _range_ground(0, n), CIRCULAR, constraint,
-        precondition_ok=ok, note="" if ok else f"n = {n} is excluded",
-    )
-
-
-def _build_313(params: dict) -> Instance:
-    return _build_simple_cycle(params, PredicateSpec("twin_index"), "sum")
-
-
-def _build_314(params: dict) -> Instance:
-    return _build_simple_cycle(params, PredicateSpec("sophie_germain_index"), "sum", min_n=3)
-
-
-def _build_315(params: dict, squares: bool) -> Instance:
-    pred = PredicateSpec("prime_shift", (2, 1))
-    if squares:
-        return _build_simple_cycle(params, pred, "abs_square_diff", excluded=(2, 4))
-    return _build_simple_cycle(params, pred, "abs_diff_and_sum")
+def _n_cycle(lo: int, clause: PredicateClause, ok=lambda n: n >= 1,
+             note: str = "n = {n} is excluded"):
+    """The builder of a cycle of lo..n whose labels satisfy clause; ok(n) is
+    its precondition, and note, formatted with n, says why it fails."""
+    def build(params: dict) -> Instance:
+        n = params["n"]
+        return _circle(_range_ground(lo, n), clause, ok=ok(n), note=note.format(n=n))
+    return build
 
 
 def _build_316(params: dict) -> Instance:
@@ -570,59 +428,16 @@ def _build_316(params: dict) -> Instance:
     # the same argument forces 3 to divide every entry, which is impossible.
     # So every witness through 0 ends at 1 and the pinned search is complete.
     n = params["n"]
-    ok = n >= 1 and n != 4
-    constraint = Constraint(
-        (PredicateClause(PredicateSpec("prime_shift", (2, 1)), "square_plus"),),
-        first=0, last=1 if n >= 1 else None,
-    )
-    return Instance(
-        _range_ground(0, n), CIRCULAR, constraint,
-        precondition_ok=ok, note="" if ok else "n = 4 is excluded",
-    )
+    return _circle(_range_ground(0, n), _clause("prime_shift", "square_plus", 2, 1),
+                   ok=n >= 1 and n != 4, note="n = 4 is excluded",
+                   first=0, last=1 if n >= 1 else None)
 
 
-def _build_317(params: dict, second: bool) -> Instance:
-    n = params["n"]
-    if second:
-        # same forcing argument as above, with 4(x^2+y)-1 in place of
-        # 2(x^2+y)+1, pins the cycle to start 0 and end 1
-        constraint = Constraint(
-            (PredicateClause(PredicateSpec("prime_shift", (4, -1)), "square_plus"),),
-            first=0, last=1,
-        )
-        return Instance(_range_ground(0, n), CIRCULAR, constraint)
-    return _build_simple_cycle(params, PredicateSpec("prime_shift", (4, 1)), "square_plus")
-
-
-def _build_318(params: dict, variant: str) -> Instance:
-    n = params["n"]
-    pred = PredicateSpec("prime")
-    if variant == "a":
-        ok = n > 5 and n != 13
-        labeler = "product_minus_one"
-        note = "" if ok else "needs n > 5 and n != 13"
-    elif variant == "b":
-        ok = n > 1
-        labeler = "two_product_minus_one"
-        note = "" if ok else "needs n > 1"
-    else:
-        ok = n >= 1 and n != 4
-        labeler = "two_product_plus_one"
-        note = "" if ok else "n = 4 is excluded"
-    constraint = Constraint((PredicateClause(pred, labeler),))
-    return Instance(
-        _range_ground(1, n), CIRCULAR, constraint, precondition_ok=ok, note=note
-    )
-
-
-def _build_filz(params: dict) -> Instance:
-    n = params["n"]
-    ok = n >= 2 and n % 2 == 0
-    constraint = Constraint((PredicateClause(PredicateSpec("prime"), "sum"),))
-    return Instance(
-        _range_ground(1, n), CIRCULAR, constraint,
-        precondition_ok=ok, note="" if ok else "stated for even n only",
-    )
+def _build_317ii(params: dict) -> Instance:
+    # same forcing argument as above, with 4(x^2+y)-1 in place of
+    # 2(x^2+y)+1, pins the cycle to start 0 and end 1
+    return _circle(_range_ground(0, params["n"]), _clause("prime_shift", "square_plus", 4, -1),
+                   first=0, last=1)
 
 
 _OPS = {0: "sum", 1: "diff"}
@@ -637,66 +452,69 @@ def _build_thm16(params: dict) -> Instance:
     if q % 2 == 0 or len(f.pairs) != 1:
         raise ValueError(f"q must be an odd prime power, got {q}")
     spec = field_spec_for(q)
-    squares = sorted(field_view(spec).squares)
     kind = "quadratic_residue_mod" if target == "S" else "quadratic_nonresidue_mod"
-    labeler = "sum" if op == "sum" else "diff"
-    constraint = Constraint((PredicateClause(PredicateSpec(kind, (q,)), labeler),))
     # below 14 the generator search may come up empty; outcomes are still
     # attempted and recorded either way
     return Instance(
-        GroundSet(spec, tuple(squares)), CIRCULAR, constraint,
+        GroundSet(spec, tuple(sorted(field_view(spec).squares))), CIRCULAR,
+        Constraint((_clause(kind, op, q),)),
         note="" if q > 13 else "guaranteed only above 13",
         mode="qr",
     )
 
 
-# --- iteration policies ---------------------------------------------------------
+# --- sweep and oracle policies -------------------------------------------------
+# A sweep maps (lo, hi, seed) to the params of one campaign, in record order;
+# an oracle gives the small params that are compared with brute force.
 
 
-def _int_subset_params(lo, hi, seed, with_first, min_n=3, nonzero=False):
+def _int_sweep(with_first: bool, min_n: int = 3, nonzero: bool = False):
+    """Integer sets of size n: every subset of a small window while n is
+    small, three seeded samples above that."""
     window = 2 if nonzero else 4
-    make = _nonzero_window_subsets if nonzero else _window_subsets
-    for n in range(max(lo, min_n), hi + 1):
-        if n <= 7 and n <= 2 * window + 1:
-            subsets = make(window, n)
-            for si in range(len(subsets)):
-                base = {"n": n, "m": window, "subset": si}
+
+    def sweep(lo, hi, seed):
+        for n in range(max(lo, min_n), hi + 1):
+            if n <= 7 and n <= 2 * window + 1:
+                cases = [{"n": n, "m": window, "subset": si}
+                         for si in range(comb(len(_window(window, nonzero)), n))]
+                firsts = range(n)
+            else:
+                cases = [{"n": n, "seed": sd + seed} for sd in range(3)]
+                firsts = {0, n // 2, n - 1}  # set order, which the records keep
+            for base in cases:
                 if with_first:
-                    for fi in range(n):
-                        yield {**base, "first": fi}
+                    yield from ({**base, "first": fi} for fi in firsts)
                 else:
                     yield base
-        else:
-            for sd in range(3):
-                base = {"n": n, "seed": sd + seed}
-                if with_first:
-                    for fi in {0, n // 2, n - 1}:
-                        yield {**base, "first": fi}
+    return sweep
+
+
+def _group_sweep(sizes_from: int, with_first: bool):
+    """Subsets of the finite abelian groups of order m: all of them, with
+    every designated first, in small cyclic groups, seeded samples else."""
+    def sweep(lo, hi, seed):
+        for m in range(max(lo, 2), hi + 1):
+            for g, moduli in enumerate(_GROUPS_BY_ORDER.get(m, [])):
+                if g == 0 and m <= _EXHAUSTIVE_GROUP_ORDER:
+                    for n in range(sizes_from, m + 1):
+                        for si in range(comb(m, n)):
+                            base = {"m": m, "g": g, "n": n, "subset": si}
+                            if with_first:
+                                yield from ({**base, "first": fi} for fi in range(n))
+                            else:
+                                yield base
                 else:
-                    yield base
-
-
-def _primes_in(lo, hi):
-    if hi < 2:
-        return []
-    return [p for p in primes_upto(max(hi, 2)).primes() if lo <= p <= hi]
-
-
-def _odd_primes_in(lo, hi):
-    return [p for p in _primes_in(lo, hi) if p % 2 == 1]
-
-
-def _prime_powers_in(lo, hi, odd_only=False):
-    out = []
-    for q in range(max(lo, 2), hi + 1):
-        f = factorize(q)
-        if len(f.pairs) == 1 and (not odd_only or q % 2 == 1):
-            out.append(q)
-    return out
-
-
-def _n_range(lo, hi, start=1):
-    return [{"n": n} for n in range(max(lo, start), hi + 1)]
+                    sizes = list(range(sizes_from, min(m, 9) + 1))
+                    if m > 2 and m >= sizes_from:
+                        sizes.append(m)  # the full-group instance
+                    for n in sorted(set(sizes)):
+                        for sd in _GROUP_SEEDS:
+                            p = {"m": m, "g": g, "n": n, "seed": sd + seed}
+                            if with_first:
+                                p["first"] = 0
+                            yield p
+    return sweep
 
 
 def _group_oracle(pairs, with_first: bool, cap: int = 8):
@@ -712,291 +530,188 @@ def _group_oracle(pairs, with_first: bool, cap: int = 8):
     return out
 
 
+def _n_sweep(start: int = 1):
+    return lambda lo, hi, seed: ({"n": n} for n in range(max(lo, start), hi + 1))
+
+
+def _n_oracle(ns=range(1, 7)):
+    return lambda: [{"n": n} for n in ns]
+
+
+def _odd_primes_in(lo, hi):
+    return [p for p in primes_upto(hi).primes() if p >= lo and p % 2] if hi > 2 else []
+
+
+def _odd_prime_sweep(lo, hi, seed):
+    return ({"p": p} for p in _odd_primes_in(lo, hi))
+
+
+def _odd_prime_oracle():
+    return [{"p": 11}, {"p": 13}]
+
+
+def _prime_powers_in(lo, hi):
+    return [q for q in range(max(lo, 2), hi + 1) if len(factorize(q).pairs) == 1]
+
+
 @dataclass(frozen=True)
 class _Family:
-    id: str
-    build: object
-    iter_params: object
-    oracle: object
+    build: object  # params -> Instance
+    iter_params: object  # sweep policy: (lo, hi, seed) -> params
+    oracle: object  # oracle policy: () -> params
     describe: str
 
 
-_REGISTRY: dict[str, _Family] = {}
-
-
-def _register(fam: _Family):
-    _REGISTRY[fam.id] = fam
-
-
-_register(_Family(
-    "3.1", _build_31,
-    lambda lo, hi, seed, family: list(_int_subset_params(lo, hi, seed, True)),
-    lambda: [
-        {"n": n, "m": 2, "subset": si, "first": fi}
-        for n in (3, 4, 5)
-        for si in range(len(_window_subsets(2, n)))
-        for fi in range(n)
-    ],
-    "linear distance rainbow with designated first element",
-))
-
-_register(_Family(
-    "3.2", _build_32,
-    lambda lo, hi, seed, family: list(_int_subset_params(lo, hi, seed, False)),
-    lambda: [
-        {"n": n, "m": 2, "subset": si}
-        for n in (4, 5)
-        for si in range(len(_window_subsets(2, n)))
-    ],
-    "distance-rainbow cycle implies one with extremes adjacent",
-))
-
-_register(_Family(
-    "3.3", _build_33,
-    lambda lo, hi, seed, family: list(_group_subset_params(lo, hi, seed, 2, True)),
-    lambda: _group_oracle([(5, 3), (5, 4), (6, 3), (7, 4)], True)
-    + [{"m": 4, "g": 1, "n": 4, "subset": 0, "first": 0}],
-    "linear difference rainbow over a finite abelian group",
-))
-
-_register(_Family(
-    "3.4i", lambda p: _build_34(p, diff=False),
-    lambda lo, hi, seed, family: list(_group_subset_params(lo, hi, seed, 3, False)),
-    lambda: _group_oracle([(6, 3), (6, 4), (7, 3), (7, 5)], False),
-    "sum-rainbow cycle over a finite abelian group",
-))
-
-_register(_Family(
-    "3.4ii", lambda p: _build_34(p, diff=True),
-    lambda lo, hi, seed, family: list(_group_subset_params(lo, hi, seed, 4, False)),
-    lambda: _group_oracle([(6, 4), (7, 4), (8, 5)], False),
-    "difference-rainbow cycle over a finite abelian group",
-))
-
-_register(_Family(
-    "3.5i", _build_35i,
-    lambda lo, hi, seed, family: list(_group_subset_params(lo, hi, seed, 4, False)),
-    lambda: _group_oracle([(5, 4), (7, 4), (8, 5)], False),
-    "x + 2y rainbow cycle over groups of order coprime to 3",
-))
-
-_register(_Family(
-    "3.5ii", _build_35ii,
-    lambda lo, hi, seed, family: [
-        p for p in _group_subset_params(lo, hi, seed, 4, False) if p["n"] <= 6
-    ],
-    lambda: _group_oracle([(5, 4), (6, 4), (7, 5)], False, cap=6),
-    "paired numberings with a_i + 2 b_i distinct",
-))
-
-_register(_Family(
-    "3.6", _build_36,
-    lambda lo, hi, seed, family: list(_group_subset_params(lo, hi, seed, 4, False)),
-    lambda: _group_oracle([(6, 4), (7, 4), (7, 5)], False)
-    + [{"m": 4, "g": 1, "n": 4, "subset": 0}],
-    "consecutive-triple-sum rainbow cycle over a finite abelian group",
-))
-
-_register(_Family(
-    "3.7i", _build_37i,
-    lambda lo, hi, seed, family: [{"q": q} for q in _prime_powers_in(lo, hi)
-                                  if q > 7],
-    lambda: [{"q": q} for q in (5, 7)],
-    "cycle of all field elements with primitive sums",
-))
-
-_register(_Family(
-    "3.7ii-sums", lambda p: _build_37ii(p, "sum"),
-    lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
-    lambda: [{"p": p} for p in (11, 13)],
-    "cycle of 1..(p-1)/2 with sums primitive roots mod p",
-))
-
-_register(_Family(
-    "3.7ii-diffs", lambda p: _build_37ii(p, "diff"),
-    lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
-    lambda: [{"p": p} for p in (11, 13)],
-    "cycle of 1..(p-1)/2 with differences primitive roots mod p",
-))
-
-_register(_Family(
-    "3.8-sums", lambda p: _build_38(p, "sum"),
-    lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
-    lambda: [{"p": p} for p in (11, 13)],
-    "cycle of the quadratic residues with primitive sums",
-))
-
-_register(_Family(
-    "3.8-diffs", lambda p: _build_38(p, "diff"),
-    lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
-    lambda: [{"p": p} for p in (11, 13)],
-    "cycle of the quadratic residues with primitive differences",
-))
-
-_register(_Family(
-    "3.9i-sums", lambda p: _build_39(p, primitive=False, plus=True),
-    lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
-    lambda: [{"p": p} for p in (11, 13)],
-    "cycle of 1..(p-1)/2 with x^2+y quadratic residues",
-))
-_register(_Family(
-    "3.9i-diffs", lambda p: _build_39(p, primitive=False, plus=False),
-    lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
-    lambda: [{"p": p} for p in (11, 13)],
-    "cycle of 1..(p-1)/2 with x^2-y quadratic residues",
-))
-_register(_Family(
-    "3.9ii-sums", lambda p: _build_39(p, primitive=True, plus=True),
-    lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
-    lambda: [{"p": p} for p in (11, 13)],
-    "cycle of 1..(p-1)/2 with x^2+y primitive roots",
-))
-_register(_Family(
-    "3.9ii-diffs", lambda p: _build_39(p, primitive=True, plus=False),
-    lambda lo, hi, seed, family: [{"p": p} for p in _odd_primes_in(lo, hi)],
-    lambda: [{"p": p} for p in (11, 13)],
-    "cycle of 1..(p-1)/2 with x^2-y primitive roots",
-))
-
-_register(_Family(
-    "3.10", _build_310,
-    lambda lo, hi, seed, family: [
-        {"q": q, "a0": a0}
-        for q in _prime_powers_in(lo, hi) if q > 7
-        for a0 in range(q)
-    ],
-    lambda: [{"q": q, "a0": a0} for q in (5, 7, 8) for a0 in (0, 1, 2)],
-    "cycle of nonzero field elements with a0 + xy primitive",
-))
-
-_register(_Family(
-    "3.11", lambda p: _build_311(p),
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in range(1, 7)] + [{"n": 7, "fixture": 90}],
-    "cycle of 0..n pinned (0,..,n), sums coprime to n-1 and n+1",
-))
-
-_register(_Family(
-    "3.11-guess", lambda p: _build_311(p, guess=True),
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in range(1, 7)],
-    "guessed variant: sums coprime to 2n-1 and 2n+1",
-))
-
-_register(_Family(
-    "3.12i", lambda p: _build_312(p, diff=False),
-    lambda lo, hi, seed, family: list(
-        _int_subset_params(lo, hi, seed, False, min_n=3, nonzero=True)
-    ),
-    lambda: [
-        {"n": n, "m": 2, "subset": si}
-        for n in (3, 4) for si in range(len(_nonzero_window_subsets(2, n)))
-    ] + [{"n": 5, "seed": 0}, {"n": 6, "seed": 0}],
-    "cycle of nonzero integers, sums and products both rainbow",
-))
-
-_register(_Family(
-    "3.12ii", lambda p: _build_312(p, diff=True),
-    lambda lo, hi, seed, family: list(
-        _int_subset_params(lo, hi, seed, False, min_n=4, nonzero=True)
-    ),
-    lambda: [
-        {"n": 4, "m": 2, "subset": si}
-        for si in range(len(_nonzero_window_subsets(2, 4)))
-    ] + [{"n": 5, "seed": 1}],
-    "cycle of nonzero integers, differences and products both rainbow",
-))
-
-_register(_Family(
-    "3.13", _build_313,
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in range(1, 7)],
-    "cycle of 0..n with twin-prime-index sums",
-))
-
-_register(_Family(
-    "3.14", _build_314,
-    lambda lo, hi, seed, family: _n_range(lo, hi, start=3),
-    lambda: [{"n": n} for n in range(3, 7)],
-    "cycle of 0..n with sums k having 6k-1, 12k-1 prime",
-))
-
-_register(_Family(
-    "3.15i", lambda p: _build_315(p, squares=False),
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in range(1, 7)],
-    "cycle of 0..n, both |x-y| and x+y of half-prime form",
-))
-
-_register(_Family(
-    "3.15ii", lambda p: _build_315(p, squares=True),
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in range(1, 7)],
-    "cycle of 0..n with |x^2-y^2| of half-prime form",
-))
-
-_register(_Family(
-    "3.16", _build_316,
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in range(1, 7)],
-    "cycle of 0..n pinned (0,..,1) with x^2+y of half-prime form",
-))
-
-_register(_Family(
-    "3.17i", lambda p: _build_317(p, second=False),
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in range(1, 7)],
-    "cycle of 0..n with x^2+y of the form (p-1)/4, p = 1 mod 4",
-))
-
-_register(_Family(
-    "3.17ii", lambda p: _build_317(p, second=True),
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in range(1, 7)],
-    "pinned cycle of 0..n with x^2+y of the form (p+1)/4, p = 3 mod 4",
-))
-
-_register(_Family(
-    "3.18a", lambda p: _build_318(p, "a"),
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in (6, 7)],
-    "cycle of 1..n with xy - 1 prime",
-))
-_register(_Family(
-    "3.18b", lambda p: _build_318(p, "b"),
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in range(2, 8)],
-    "cycle of 1..n with 2xy - 1 prime",
-))
-_register(_Family(
-    "3.18c", lambda p: _build_318(p, "c"),
-    lambda lo, hi, seed, family: _n_range(lo, hi),
-    lambda: [{"n": n} for n in range(1, 8) if n != 4],
-    "cycle of 1..n with 2xy + 1 prime",
-))
-
-_register(_Family(
-    "filz", _build_filz,
-    lambda lo, hi, seed, family: [{"n": n} for n in range(max(lo, 2), hi + 1)
-                                  if n % 2 == 0],
-    lambda: [{"n": n} for n in (2, 4, 6)],
-    "cycle of 1..n (even) with prime sums",
-))
-
-_register(_Family(
-    "thm1.6-range", _build_thm16,
-    lambda lo, hi, seed, family: [
-        {"q": q, "op": op, "target": t}
-        for q in _odd_primes_in(lo, hi)
-        for op in (0, 1)
-        for t in (0, 1)
-    ],
-    lambda: [
-        {"q": q, "op": op, "target": t}
-        for q in (5, 7, 13) for op in (0, 1) for t in (0, 1)
-    ],
-    "square-class cycles via generator powers, all four targets",
-))
+_REGISTRY: dict[str, _Family] = {
+    "3.1": _Family(
+        _build_31, _int_sweep(True),
+        lambda: [{"n": n, "m": 2, "subset": si, "first": fi}
+                 for n in (3, 4, 5) for si in range(len(_window_subsets(2, n)))
+                 for fi in range(n)],
+        "linear distance rainbow with designated first element"),
+    "3.2": _Family(
+        _build_32, _int_sweep(False),
+        lambda: [{"n": n, "m": 2, "subset": si}
+                 for n in (4, 5) for si in range(len(_window_subsets(2, n)))],
+        "distance-rainbow cycle implies one with extremes adjacent"),
+    "3.3": _Family(
+        _build_33, _group_sweep(2, True),
+        lambda: _group_oracle([(5, 3), (5, 4), (6, 3), (7, 4)], True)
+        + [{"m": 4, "g": 1, "n": 4, "subset": 0, "first": 0}],
+        "linear difference rainbow over a finite abelian group"),
+    "3.4i": _Family(
+        lambda p: _build_34(p, diff=False), _group_sweep(3, False),
+        lambda: _group_oracle([(6, 3), (6, 4), (7, 3), (7, 5)], False),
+        "sum-rainbow cycle over a finite abelian group"),
+    "3.4ii": _Family(
+        lambda p: _build_34(p, diff=True), _group_sweep(4, False),
+        lambda: _group_oracle([(6, 4), (7, 4), (8, 5)], False),
+        "difference-rainbow cycle over a finite abelian group"),
+    "3.5i": _Family(
+        _build_35i, _group_sweep(4, False),
+        lambda: _group_oracle([(5, 4), (7, 4), (8, 5)], False),
+        "x + 2y rainbow cycle over groups of order coprime to 3"),
+    "3.5ii": _Family(
+        lambda p: replace(_group_cycle(p, "weighted"), mode="pair"),
+        lambda lo, hi, seed: (p for p in _group_sweep(4, False)(lo, hi, seed) if p["n"] <= 6),
+        lambda: _group_oracle([(5, 4), (6, 4), (7, 5)], False, cap=6),
+        "paired numberings with a_i + 2 b_i distinct"),
+    "3.6": _Family(
+        lambda p: _group_cycle(p, "triple"), _group_sweep(4, False),
+        lambda: _group_oracle([(6, 4), (7, 4), (7, 5)], False)
+        + [{"m": 4, "g": 1, "n": 4, "subset": 0}],
+        "consecutive-triple-sum rainbow cycle over a finite abelian group"),
+    "3.7i": _Family(
+        _build_37i, lambda lo, hi, seed: ({"q": q} for q in _prime_powers_in(lo, hi) if q > 7),
+        lambda: [{"q": q} for q in (5, 7)],
+        "cycle of all field elements with primitive sums"),
+    "3.7ii-sums": _Family(
+        _odd_prime_cycle(_half_range, "primitive_root_mod", "sum", 19),
+        _odd_prime_sweep, _odd_prime_oracle,
+        "cycle of 1..(p-1)/2 with sums primitive roots mod p"),
+    "3.7ii-diffs": _Family(
+        _odd_prime_cycle(_half_range, "primitive_root_mod", "diff", 13),
+        _odd_prime_sweep, _odd_prime_oracle,
+        "cycle of 1..(p-1)/2 with differences primitive roots mod p"),
+    "3.8-sums": _Family(
+        _odd_prime_cycle(_squares_mod, "primitive_root_mod", "sum", 19),
+        _odd_prime_sweep, _odd_prime_oracle,
+        "cycle of the quadratic residues with primitive sums"),
+    "3.8-diffs": _Family(
+        _odd_prime_cycle(_squares_mod, "primitive_root_mod", "diff", 13),
+        _odd_prime_sweep, _odd_prime_oracle,
+        "cycle of the quadratic residues with primitive differences"),
+    "3.9i-sums": _Family(
+        _odd_prime_cycle(_half_range, "quadratic_residue_mod", "square_plus", 11),
+        _odd_prime_sweep, _odd_prime_oracle,
+        "cycle of 1..(p-1)/2 with x^2+y quadratic residues"),
+    "3.9i-diffs": _Family(
+        _odd_prime_cycle(_half_range, "quadratic_residue_mod", "square_minus", 11),
+        _odd_prime_sweep, _odd_prime_oracle,
+        "cycle of 1..(p-1)/2 with x^2-y quadratic residues"),
+    "3.9ii-sums": _Family(
+        _odd_prime_cycle(_half_range, "primitive_root_mod", "square_plus", 13),
+        _odd_prime_sweep, _odd_prime_oracle,
+        "cycle of 1..(p-1)/2 with x^2+y primitive roots"),
+    "3.9ii-diffs": _Family(
+        _odd_prime_cycle(_half_range, "primitive_root_mod", "square_minus", 13),
+        _odd_prime_sweep, _odd_prime_oracle,
+        "cycle of 1..(p-1)/2 with x^2-y primitive roots"),
+    "3.10": _Family(
+        _build_310,
+        lambda lo, hi, seed: ({"q": q, "a0": a0}
+                              for q in _prime_powers_in(lo, hi) if q > 7 for a0 in range(q)),
+        lambda: [{"q": q, "a0": a0} for q in (5, 7, 8) for a0 in (0, 1, 2)],
+        "cycle of nonzero field elements with a0 + xy primitive"),
+    "3.11": _Family(
+        _build_311, _n_sweep(),
+        lambda: [{"n": n} for n in range(1, 7)] + [{"n": 7, "fixture": 90}],
+        "cycle of 0..n pinned (0,..,n), sums coprime to n-1 and n+1"),
+    "3.11-guess": _Family(
+        lambda p: _build_311(p, guess=True), _n_sweep(), _n_oracle(),
+        "guessed variant: sums coprime to 2n-1 and 2n+1"),
+    "3.12i": _Family(
+        lambda p: _build_312(p, diff=False), _int_sweep(False, nonzero=True),
+        lambda: [{"n": n, "m": 2, "subset": si}
+                 for n in (3, 4) for si in range(len(_nonzero_window_subsets(2, n)))]
+        + [{"n": 5, "seed": 0}, {"n": 6, "seed": 0}],
+        "cycle of nonzero integers, sums and products both rainbow"),
+    "3.12ii": _Family(
+        lambda p: _build_312(p, diff=True), _int_sweep(False, min_n=4, nonzero=True),
+        lambda: [{"n": 4, "m": 2, "subset": si}
+                 for si in range(len(_nonzero_window_subsets(2, 4)))] + [{"n": 5, "seed": 1}],
+        "cycle of nonzero integers, differences and products both rainbow"),
+    "3.13": _Family(
+        _n_cycle(0, _clause("twin_index", "sum")), _n_sweep(), _n_oracle(),
+        "cycle of 0..n with twin-prime-index sums"),
+    "3.14": _Family(
+        _n_cycle(0, _clause("sophie_germain_index", "sum"), lambda n: n >= 3),
+        _n_sweep(3), _n_oracle(range(3, 7)),
+        "cycle of 0..n with sums k having 6k-1, 12k-1 prime"),
+    "3.15i": _Family(
+        _n_cycle(0, _clause("prime_shift", "abs_diff_and_sum", 2, 1)), _n_sweep(), _n_oracle(),
+        "cycle of 0..n, both |x-y| and x+y of half-prime form"),
+    "3.15ii": _Family(
+        _n_cycle(0, _clause("prime_shift", "abs_square_diff", 2, 1),
+                 lambda n: n >= 1 and n not in (2, 4)),
+        _n_sweep(), _n_oracle(),
+        "cycle of 0..n with |x^2-y^2| of half-prime form"),
+    "3.16": _Family(
+        _build_316, _n_sweep(), _n_oracle(),
+        "cycle of 0..n pinned (0,..,1) with x^2+y of half-prime form"),
+    "3.17i": _Family(
+        _n_cycle(0, _clause("prime_shift", "square_plus", 4, 1)), _n_sweep(), _n_oracle(),
+        "cycle of 0..n with x^2+y of the form (p-1)/4, p = 1 mod 4"),
+    "3.17ii": _Family(
+        _build_317ii, _n_sweep(), _n_oracle(),
+        "pinned cycle of 0..n with x^2+y of the form (p+1)/4, p = 3 mod 4"),
+    "3.18a": _Family(
+        _n_cycle(1, _clause("prime", "product_minus_one"), lambda n: n > 5 and n != 13,
+                 "needs n > 5 and n != 13"),
+        _n_sweep(), _n_oracle((6, 7)),
+        "cycle of 1..n with xy - 1 prime"),
+    "3.18b": _Family(
+        _n_cycle(1, _clause("prime", "two_product_minus_one"), lambda n: n > 1, "needs n > 1"),
+        _n_sweep(), _n_oracle(range(2, 8)),
+        "cycle of 1..n with 2xy - 1 prime"),
+    "3.18c": _Family(
+        _n_cycle(1, _clause("prime", "two_product_plus_one"), lambda n: n >= 1 and n != 4),
+        _n_sweep(), _n_oracle((1, 2, 3, 5, 6, 7)),
+        "cycle of 1..n with 2xy + 1 prime"),
+    "filz": _Family(
+        _n_cycle(1, _clause("prime", "sum"), lambda n: n >= 2 and n % 2 == 0,
+                 "stated for even n only"),
+        lambda lo, hi, seed: ({"n": n} for n in range(max(lo, 2), hi + 1) if n % 2 == 0),
+        lambda: [{"n": n} for n in (2, 4, 6)],
+        "cycle of 1..n (even) with prime sums"),
+    "thm1.6-range": _Family(
+        _build_thm16,
+        lambda lo, hi, seed: ({"q": q, "op": op, "target": t}
+                              for q in _odd_primes_in(lo, hi) for op in (0, 1) for t in (0, 1)),
+        lambda: [{"q": q, "op": op, "target": t}
+                 for q in (5, 7, 13) for op in (0, 1) for t in (0, 1)],
+        "square-class cycles via generator powers, all four targets"),
+}
 
 CONJECTURE_IDS = tuple(sorted(_REGISTRY))
 
@@ -1017,14 +732,18 @@ def instance(conjecture_id: str, params: dict) -> Instance:
 
 def iter_params(conjecture_id: str, lo: int, hi: int, seed: int = 0,
                 family: str | None = None) -> list[dict]:
+    """The params of a campaign over [lo, hi], in record order.  family
+    "exceptional" swaps 3.12i/3.12ii's sweep for their known exceptions."""
     fam = _REGISTRY.get(conjecture_id)
     if fam is None:
         raise ValueError(f"unknown conjecture id {conjecture_id!r}")
-    if family == "exceptional":
-        if conjecture_id not in ("3.12i", "3.12ii"):
-            raise ValueError("--family exceptional only applies to 3.12i / 3.12ii")
-        return [fx[1] for fx in counterexample_fixtures() if fx[0] == conjecture_id]
-    return list(fam.iter_params(lo, hi, seed, family))
+    if family is None:
+        return list(fam.iter_params(lo, hi, seed))
+    if family != "exceptional":
+        raise ValueError(f"unknown family {family!r}; the only one is 'exceptional'")
+    if conjecture_id not in ("3.12i", "3.12ii"):
+        raise ValueError("--family exceptional only applies to 3.12i / 3.12ii")
+    return [fx[1] for fx in counterexample_fixtures() if fx[0] == conjecture_id]
 
 
 def oracle_params(conjecture_id: str) -> list[dict]:

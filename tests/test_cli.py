@@ -109,6 +109,22 @@ class TestCheck:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("conjecture, params", [
+        ("3.3", ["m=5", "n=3", "subset=999", "first=0"]),
+        ("3.3", ["m=5", "n=3", "subset=-1", "first=0"]),
+        ("3.3", ["m=5", "n=3", "subset=0", "first=3"]),
+        ("3.3", ["m=5", "n=3", "subset=0", "first=-1"]),
+        ("3.3", ["m=4", "g=7", "n=3", "subset=0", "first=0"]),
+        ("3.1", ["m=2", "n=3", "subset=999", "first=0"]),
+    ], ids=["subset", "negative-subset", "first", "negative-first", "g", "3.1-subset"])
+    def test_out_of_range_index_is_usage_error(self, capsys, n20, conjecture, params):
+        code, _, err = run(
+            capsys, "check", "--arrangement", str(n20), "--conjecture", conjecture,
+            "--params", *params,
+        )
+        assert code == 3
+        assert "out of range" in err
+
     def test_constraint_file(self, capsys, tmp_path):
         arr = {
             "group": {"kind": "integers"},
@@ -246,11 +262,53 @@ class TestVerify:
         rows = read_jsonl(out_path)
         assert [r["params"]["n"] for r in rows[1:]] == [1, 2, 3, 4, 5, 6]
 
+    def test_resume_cuts_at_a_broken_middle_line(self, capsys, tmp_path):
+        # the broken line repeats the start of the n = 1 record, so cutting at
+        # the first place its bytes occur would lose the records of n = 1, 2
+        out_path = tmp_path / "r.jsonl"
+        run(capsys, "verify", "--conjecture", "3.13", "--from", "1", "--to", "3",
+            "--out", str(out_path))
+        header, n1, n2, n3 = out_path.read_text().splitlines(keepends=True)
+        out_path.write_text(header + n1 + n2 + n1[:30] + "\n" + n3)
+        code, _, err = run(
+            capsys, "verify", "--conjecture", "3.13", "--from", "1", "--to", "3",
+            "--out", str(out_path), "--resume",
+        )
+        assert code == 0
+        assert "1 searched" in err
+        rows = read_jsonl(out_path)
+        assert rows[0]["type"] == "header"
+        assert [r["params"]["n"] for r in rows[1:]] == [1, 2, 3]
+
+    def test_resume_keeps_a_single_header(self, capsys, tmp_path):
+        out_path = tmp_path / "r.jsonl"
+        run(capsys, "verify", "--conjecture", "3.13", "--from", "1", "--to", "2",
+            "--out", str(out_path))
+        whole = out_path.read_text()
+        # the header, then the first record cut mid-line
+        out_path.write_text(whole[: whole.index("status")])
+        code, _, err = run(
+            capsys, "verify", "--conjecture", "3.13", "--from", "1", "--to", "2",
+            "--out", str(out_path), "--resume",
+        )
+        assert code == 0
+        rows = read_jsonl(out_path)
+        assert [r.get("type") for r in rows] == ["header", None, None]
+        assert [r["params"]["n"] for r in rows[1:]] == [1, 2]
+
     def test_exceptional_family_exit_zero(self, capsys):
         code, out, err = run(
             capsys, "verify", "--conjecture", "3.12i", "--family", "exceptional"
         )
         assert code == 0
+
+    def test_unknown_family_is_usage_error(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--conjecture", "3.13", "--from", "1", "--to", "3",
+            "--family", "typo",
+        )
+        assert code == 3
+        assert out == ""
 
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify", "--conjecture", "9.99")

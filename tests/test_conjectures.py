@@ -1,6 +1,21 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from permlab.algebra import CIRCULAR, Arrangement, PrimeField, element_from_coords
+import permlab
+from permlab.algebra import (
+    CIRCULAR,
+    Arrangement,
+    PrimeField,
+    element_coords,
+    element_from_coords,
+    spec_to_dict,
+)
+from permlab.cli import constraint_to_dict
 from permlab.conjectures import (
     CONJECTURE_IDS,
     VerificationRecord,
@@ -32,6 +47,57 @@ def replay_witness(rec: VerificationRecord) -> bool:
         constraint = inst.constraint
     arr = Arrangement(inst.ground.spec, inst.shape, elems)
     return check(arr, constraint).ok
+
+
+# the perfbench/workloads.py campaign ranges, and desk-scale ranges for the
+# families no workload runs
+CATALOG_RANGES = {
+    "3.1": (3, 9), "3.2": (3, 9), "3.3": (9, 36), "3.4i": (9, 36), "3.4ii": (9, 36),
+    "3.5i": (9, 36), "3.5ii": (9, 36), "3.6": (9, 36), "3.7i": (8, 128),
+    "3.7ii-sums": (3, 150), "3.7ii-diffs": (3, 150), "3.8-sums": (3, 150),
+    "3.8-diffs": (3, 150), "3.9i-sums": (3, 150), "3.9i-diffs": (3, 150),
+    "3.9ii-sums": (3, 150), "3.9ii-diffs": (3, 150), "3.10": (8, 32),
+    "3.11": (1, 28), "3.11-guess": (1, 28), "3.12i": (6, 14), "3.12ii": (6, 14),
+    "3.13": (1, 28), "3.14": (3, 28), "3.15i": (1, 28), "3.15ii": (1, 28),
+    "3.16": (1, 28), "3.17i": (1, 28), "3.17ii": (1, 28), "3.18a": (6, 29),
+    "3.18b": (2, 28), "3.18c": (1, 28), "filz": (2, 40), "thm1.6-range": (3, 61),
+}
+CATALOG_DIGESTS = {
+    "3.1": "1d39d20e9d72f7f4",
+    "3.10": "1e2490fc44f6fc14",
+    "3.11": "46edbfac99776970",
+    "3.11-guess": "25eeb1eb09c162a2",
+    "3.12i": "eb36a4e0f0454578",
+    "3.12ii": "df4491d482ff52c2",
+    "3.13": "30e9d958a45a3dee",
+    "3.14": "15775013d16e377c",
+    "3.15i": "0bf2c53db0dc6f47",
+    "3.15ii": "57d639448c20cd04",
+    "3.16": "21386851a3910d74",
+    "3.17i": "41e430db0d728f16",
+    "3.17ii": "e7581eca69143054",
+    "3.18a": "11fce6c5c09158d0",
+    "3.18b": "58819cb3c8476274",
+    "3.18c": "787167f48f5f21d4",
+    "3.2": "5f8d3f94b2ff064a",
+    "3.3": "60e8857c2c987d54",
+    "3.4i": "c7479a4c358d9184",
+    "3.4ii": "c2e02d25484c77ee",
+    "3.5i": "317b608454da57a8",
+    "3.5ii": "2864cd807ec825e8",
+    "3.6": "f6f5122cb8c8066f",
+    "3.7i": "f15f5aded6873bb7",
+    "3.7ii-diffs": "cb6d9ad4305c6492",
+    "3.7ii-sums": "018e904baef93267",
+    "3.8-diffs": "e3b1ed2cc0e0244a",
+    "3.8-sums": "da051a0cfc107054",
+    "3.9i-diffs": "d53d9da5b683ce87",
+    "3.9i-sums": "9291ec6534efd2cf",
+    "3.9ii-diffs": "838376f13f3ba6da",
+    "3.9ii-sums": "2cfcb820e8f270d1",
+    "filz": "3345c73cf892737f",
+    "thm1.6-range": "e8c10abfc42d71ed",
+}
 
 
 class TestRegistry:
@@ -78,6 +144,34 @@ class TestRegistry:
         assert not instance("filz", {"n": 5}).precondition_ok
         assert not instance("3.7ii-sums", {"p": 19}).precondition_ok
         assert instance("3.7ii-diffs", {"p": 17}).precondition_ok
+
+    @pytest.mark.parametrize("name, params", [
+        ("subset", {"m": 5, "n": 3, "subset": 999, "first": 0}),
+        ("subset", {"m": 5, "n": 3, "subset": -1, "first": 0}),
+        ("first", {"m": 5, "n": 3, "subset": 0, "first": 3}),
+        ("g", {"m": 4, "g": 7, "n": 3, "subset": 0}),
+        ("g", {"m": 4, "g": -1, "n": 3, "subset": 0}),
+    ])
+    def test_out_of_range_index(self, name, params):
+        with pytest.raises(ValueError, match=f"^{name} = -?[0-9]+ is out of range"):
+            instance("3.3", params)
+
+    def test_subset_index_lists_no_subsets(self):
+        # C(36, 18) is about 9e9 subsets.  Listing them all before indexing
+        # would take all the memory there is, so the build runs in a child
+        # process capped at 1 GB of address space.
+        code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from permlab.conjectures import instance; "
+                "print(instance('3.3', {'m': 36, 'n': 18, 'subset': 0}).ground.elements)")
+        src = os.path.dirname(os.path.dirname(permlab.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == str(tuple(range(18)))
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'typo'"):
+            iter_params("3.13", 1, 3, family="typo")
 
     def test_exceptional_detection(self):
         # {-2,-1,1,2} is form (a); adding an unpaired value makes form (b)
@@ -299,6 +393,28 @@ class TestOracleSlices:
                 assert out.witness_count == cnt, (cid, params)
                 checked += 1
         assert checked >= 100
+
+    def test_catalog_fence(self):
+        """Every family's sweep, oracle slice, description and instances hash
+        to the digests the catalog had when this test was written.  A change
+        here changes campaign records; update a digest only on purpose."""
+        got = {}
+        for cid in CONJECTURE_IDS:
+            lo, hi = CATALOG_RANGES[cid]
+            h = hashlib.sha256(describe(cid).encode())
+            params = iter_params(cid, lo, hi, 0) + iter_params(cid, lo, hi, 3)
+            for p in params + oracle_params(cid):
+                inst = instance(cid, p)
+                spec = inst.ground.spec
+                pinned = inst.pinned_constraint
+                h.update(json.dumps([
+                    p, spec_to_dict(spec), [element_coords(spec, x) for x in inst.ground.elements],
+                    inst.shape, constraint_to_dict(inst.constraint, spec),
+                    pinned and constraint_to_dict(pinned, spec),
+                    inst.precondition_ok, inst.note, inst.mode,
+                ], sort_keys=True).encode())
+            got[cid] = h.hexdigest()[:16]
+        assert got == CATALOG_DIGESTS
 
     def test_iter_params_deterministic(self):
         a = iter_params("3.1", 3, 4)
