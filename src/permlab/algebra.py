@@ -10,7 +10,10 @@ ints; everything else uses tuples of ints.
 Whole-sequence ops: group_add_all, group_neg_all, group_mul_all and
 validate_elements do over a sequence what their one-element namesakes do
 over one element, choosing the arithmetic once per sequence and then
-running map passes.
+running map passes.  They make no object per element beyond the results:
+tuples are read a coordinate column at a time through itemgetter passes,
+not transposed with zip(*xs), which makes one iterator per element for
+the cyclic garbage collector to track.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
-from math import gcd
-from operator import add, mul, neg, xor
+from math import gcd, isqrt
+from operator import add, itemgetter, mod, mul, neg, xor
 
 from .numtheory import factorize, is_prime
 
@@ -132,6 +135,12 @@ def _uses_tuples(spec: GroupSpec) -> bool:
     )
 
 
+def _columns(xs, width: int) -> list:
+    """The coordinate columns of a sequence of width-tuples, each a lazy
+    itemgetter pass over xs, so reading them makes no object per element."""
+    return [map(itemgetter(i), xs) for i in range(width)]
+
+
 def is_ordered(spec: GroupSpec) -> bool:
     """Whether the spec carries an addition-compatible total order."""
     return isinstance(spec, (Integers, IntegerVectors))
@@ -189,10 +198,10 @@ def _elements_valid(spec: GroupSpec, xs) -> bool:
         return all(map(isinstance, xs, repeat(int))) and (not xs or 0 <= min(xs) <= max(xs) < m)
     if not all(map(isinstance, xs, repeat(tuple))) or any(map(len(bounds).__ne__, map(len, xs))):
         return False
-    for coords, m in zip(zip(*xs), bounds):
+    for coords, m in zip(map(list, _columns(xs, len(bounds))), bounds):
         if not all(map(isinstance, coords, repeat(int))):
             return False
-        if m is not None and not 0 <= min(coords) <= max(coords) < m:
+        if m is not None and coords and not 0 <= min(coords) <= max(coords) < m:
             return False
     return True
 
@@ -278,12 +287,14 @@ def group_add_all(spec: GroupSpec, xs, ys) -> list:
     if isinstance(spec, Integers):
         return list(map(add, xs, ys))
     if isinstance(spec, IntegerVectors):
-        return list(zip(*map(map, repeat(add), zip(*xs), zip(*ys))))
+        r = spec.rank
+        return list(zip(*map(map, repeat(add), _columns(xs, r), _columns(ys, r))))
     if isinstance(spec, CyclicProduct):
         moduli = spec.moduli
         if len(moduli) == 1:
             return list(map(moduli[0].__rmod__, map(add, xs, ys)))
-        sums = map(map, repeat(add), zip(*xs), zip(*ys))
+        r = len(moduli)
+        sums = map(map, repeat(add), _columns(xs, r), _columns(ys, r))
         return list(zip(*map(map, [m.__rmod__ for m in moduli], sums)))
     if isinstance(spec, PrimeField):
         return list(map(spec.p.__rmod__, map(add, xs, ys)))
@@ -297,12 +308,12 @@ def group_neg_all(spec: GroupSpec, xs) -> list:
     if isinstance(spec, Integers):
         return list(map(neg, xs))
     if isinstance(spec, IntegerVectors):
-        return list(zip(*map(map, repeat(neg), zip(*xs))))
+        return list(zip(*map(map, repeat(neg), _columns(xs, spec.rank))))
     if isinstance(spec, CyclicProduct):
         moduli = spec.moduli
         if len(moduli) == 1:
             return list(map(moduli[0].__rmod__, map(neg, xs)))
-        negs = map(map, repeat(neg), zip(*xs))
+        negs = map(map, repeat(neg), _columns(xs, len(moduli)))
         return list(zip(*map(map, [m.__rmod__ for m in moduli], negs)))
     if isinstance(spec, PrimeField):
         return list(map(spec.p.__rmod__, map(neg, xs)))
@@ -508,18 +519,38 @@ def field_view(spec: PrimeField | PrimePowerField) -> FieldView:
         generator = 1
     else:
         generator = next(g for g in range(2, q) if order_is_full(g))
-    exp = [1] * (q - 1)
-    for i in range(1, q - 1):
-        exp[i] = mul(exp[i - 1], generator)
+    if isinstance(spec, PrimeField):
+        exp = _power_table(generator, q)
+    else:
+        exp = [1] * (q - 1)
+        for i in range(1, q - 1):
+            exp[i] = mul(exp[i - 1], generator)
     log = [0] * q
     for i, v in enumerate(exp):
         log[v] = i
     if q % 2 == 1:
-        squares = frozenset(exp[i] for i in range(0, q - 1, 2))
+        # the even powers of a generator are the squares, the odd ones the rest
+        squares, nonsquares = frozenset(exp[::2]), frozenset(exp[1::2])
     else:
-        squares = frozenset(exp)
-    nonsquares = frozenset(range(1, q)) - squares
+        squares, nonsquares = frozenset(exp), frozenset()
     return FieldView(spec, q, generator, tuple(exp), tuple(log), squares, nonsquares)
+
+
+def _power_table(g: int, p: int) -> list[int]:
+    """[g**i % p for i in range(p - 1)], built a block of about sqrt(p)
+    powers at a time: each block is the one before times g**b mod p, in two
+    map passes."""
+    b = isqrt(p - 1) + 1
+    block = [1] * b
+    for i in range(1, b):
+        block[i] = block[i - 1] * g % p
+    step = block[-1] * g % p  # g**b
+    exp = list(block)
+    while len(exp) < p - 1:
+        block = list(map(mod, map(mul, block, repeat(step)), repeat(p)))
+        exp += block
+    del exp[p - 1:]
+    return exp
 
 
 def field_make(p: int, k: int = 1) -> FieldView:

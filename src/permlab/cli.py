@@ -278,7 +278,9 @@ def cmd_search(args) -> int:
 def _resume_keys(path: str) -> tuple[set, bool]:
     """Keys of the complete records already on disk, and whether a header
     is among them.  The file is cut at its first broken line, a truncated
-    final line included, so every record from there on is re-run."""
+    final line included, so every record from there on is re-run.  A line
+    that is valid JSON but neither a header nor a record raises ValueError
+    (a usage error), and nothing is cut."""
     keys: set = set()
     header = False
     if not os.path.exists(path):
@@ -287,16 +289,21 @@ def _resume_keys(path: str) -> tuple[set, bool]:
         data = fh.read()
     keep = 0
     # the last piece follows the last newline: empty, or a line cut short
-    for line in data.split(b"\n")[:-1]:
+    for number, line in enumerate(data.split(b"\n")[:-1], 1):
         if line.strip():
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError:
                 break
-            if doc.get("type") == "header":
+            is_dict = isinstance(doc, dict)
+            if is_dict and doc.get("type") == "header":
                 header = True
-            else:
+            elif (is_dict and isinstance(doc.get("conjecture"), str)
+                  and isinstance(doc.get("params"), dict)):
                 keys.add(record_key(doc["conjecture"], doc["params"]))
+            else:
+                raise ValueError(f"{path}: line {number} is neither a header nor a record: "
+                                 f"{line.decode(errors='replace')}")
         keep += len(line) + 1
     if keep < len(data):
         with open(path, "r+b") as fh:

@@ -472,12 +472,12 @@ def _int_sweep(with_first: bool, min_n: int = 3, nonzero: bool = False):
     """Integer sets of size n: every subset of a small window while n is
     small, three seeded samples above that."""
     window = 2 if nonzero else 4
+    size = len(_window(window, nonzero))
 
     def sweep(lo, hi, seed):
         for n in range(max(lo, min_n), hi + 1):
-            if n <= 7 and n <= 2 * window + 1:
-                cases = [{"n": n, "m": window, "subset": si}
-                         for si in range(comb(len(_window(window, nonzero)), n))]
+            if n <= 7 and n <= size:
+                cases = [{"n": n, "m": window, "subset": si} for si in range(comb(size, n))]
                 firsts = range(n)
             else:
                 cases = [{"n": n, "seed": sd + seed} for sd in range(3)]

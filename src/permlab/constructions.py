@@ -9,9 +9,9 @@ Inputs that are sets get sorted internally; callers may pass any order.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd
-from operator import le, sub
+from operator import eq, le, lt, sub
 
 from .algebra import (
     CIRCULAR,
@@ -66,10 +66,20 @@ def _recheck(arr: Arrangement, constraint: Constraint, context: str) -> Arrangem
 
 
 def _sorted_distinct(values, what: str) -> list:
+    """The values in ascending order, which must be distinct: one sort and a
+    scan of neighbours.  A bad input goes through a set, so its fault is
+    named in this order: an unhashable value, a repeat, an unorderable one."""
     vals = list(values)
-    if len(set(vals)) != len(vals):
-        raise ValueError(f"{what} must be distinct")
-    return sorted(vals)
+    try:
+        out = sorted(vals)
+        hash(tuple(out))  # an unhashable value takes the set's TypeError
+    except TypeError:
+        out = None
+    if out is None or any(map(eq, out, islice(out, 1, None))):
+        if len(set(vals)) != len(vals):
+            raise ValueError(f"{what} must be distinct")
+        return sorted(vals)
+    return out
 
 
 # --- strictly decreasing gap chains ------------------------------------------
@@ -82,7 +92,7 @@ def zigzag_distances(values, n_expected: int | None = None) -> Arrangement:
     vals = list(values)
     if not all(map(isinstance, vals, repeat(int))):
         raise ValueError("integer values required")
-    if sorted(set(vals)) != vals:
+    if not all(map(lt, vals, islice(vals, 1, None))):
         raise ValueError("values must be strictly increasing and distinct")
     if n_expected is not None and len(vals) != n_expected:
         raise ValueError(f"expected {n_expected} values, got {len(vals)}")

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -32,6 +33,8 @@ from permlab.algebra import (
     validate_element,
     validate_elements,
 )
+from permlab.algebra import _ppf_mul_raw  # the product the field tables are built from
+from permlab.numtheory import factorize
 
 SPECS = [
     Integers(),
@@ -168,11 +171,52 @@ class TestFields:
                 right = group_add(spec, fv.mul(x, y), fv.mul(x, z))
                 assert left == right
 
+    def test_tables_match_the_element_by_element_build(self):
+        # every field the catalog and the benchmark workloads build (q <= 150
+        # there), and a prime above 10^5 as the quadratic-residue constructions use
+        qs = [q for q in range(2, 1100) if len(factorize(q).pairs) == 1] + [101_737]
+        for q in qs:
+            spec = field_spec_for(q)
+            fv = field_view(spec)
+            assert (fv.generator, fv.exp_table, fv.log_table, fv.squares, fv.nonsquares) == \
+                _reference_tables(spec), q
+
     def test_deterministic_polynomial(self):
         s1 = field_spec_for(27)
         s2 = field_spec_for(27)
         assert s1 == s2
         assert field_make(3, 3).generator == field_make(3, 3).generator
+
+
+def _reference_tables(spec):
+    """field_view's generator, tables and square split, one element at a
+    time, as they were built before the tables were built in blocks."""
+    if isinstance(spec, PrimeField):
+        q = spec.p
+        mul = lambda x, y: x * y % q
+    else:
+        q = spec.q
+        mul = lambda x, y: _ppf_mul_raw(spec, x, y)
+
+    def power(g, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = mul(acc, g)
+            g, e = mul(g, g), e >> 1
+        return acc
+
+    primes = factorize(q - 1).primes()
+    generator = 1 if q == 2 else next(
+        g for g in range(2, q) if all(power(g, (q - 1) // r) != 1 for r in primes))
+    exp = [1] * (q - 1)
+    for i in range(1, q - 1):
+        exp[i] = mul(exp[i - 1], generator)
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    squares = frozenset(exp[i] for i in range(0, q - 1, 2)) if q % 2 else frozenset(exp)
+    return generator, tuple(exp), tuple(log), squares, frozenset(range(1, q)) - squares
 
 
 class TestInvariantFactors:
@@ -232,6 +276,13 @@ BAD_ELEMENTS = {
     field_spec_for(9): (9, (1, 1)),
     field_spec_for(27): (27,),
 }
+
+
+# integer vectors and cyclic products of ranks 1 to 3
+RANKED_SPECS = [
+    IntegerVectors(1), IntegerVectors(2), IntegerVectors(3),
+    CyclicProduct((5,)), CyclicProduct((3, 4)), CyclicProduct((2, 3, 5)),
+]
 
 
 def any_element(rng, spec):
@@ -327,6 +378,80 @@ class TestWholeSequenceOps:
             GroundSet(field_spec_for(9), (0, 9))
         with pytest.raises(ValueError, match=r"^arrangement is empty$"):
             Arrangement(Integers(), LINEAR, ())
+
+    def test_ranks_one_to_three(self):
+        rng = random.Random(10)
+        for spec in RANKED_SPECS:
+            for n in (0, 1, 2, 9, 60):
+                xs = [random_element(rng, spec) for _ in range(n)]
+                ys = [random_element(rng, spec) for _ in range(n)]
+                assert group_add_all(spec, xs, ys) == list(map(group_add, [spec] * n, xs, ys))
+                assert group_neg_all(spec, xs) == [group_neg(spec, x) for x in xs]
+                validate_elements(spec, xs)
+
+    def test_unreduced_residues(self):
+        # the ops reduce what they are given, as the one-element ops do;
+        # validation names the first residue out of range
+        rng = random.Random(11)
+        for spec in RANKED_SPECS:
+            if not isinstance(spec, CyclicProduct):
+                continue
+            moduli = spec.moduli
+            wide = [tuple(rng.randrange(-2 * m, 2 * m) for m in moduli) for _ in range(40)]
+            if len(moduli) == 1:
+                wide = [x for (x,) in wide]
+            assert group_add_all(spec, wide, wide[::-1]) == list(
+                map(group_add, [spec] * 40, wide, wide[::-1]))
+            assert group_neg_all(spec, wide) == [group_neg(spec, x) for x in wide]
+            bad = next(x for x in wide if _first_error(validate_element, spec, x))
+            assert _first_error(validate_elements, spec, wide) == _first_error(
+                validate_element, spec, bad)
+
+    def test_bad_ranks(self):
+        rng = random.Random(12)
+        for spec in RANKED_SPECS:
+            rank = spec.rank if isinstance(spec, IntegerVectors) else len(spec.moduli)
+            good = list(dict.fromkeys(random_element(rng, spec) for _ in range(20)))
+            for bad in ((0,) * (rank + 1), (0,) * (rank - 1), (1,) * (rank + 2)):
+                for at in (0, 7, len(good)):
+                    xs = good[:at] + [bad] + good[at:]
+                    want = _first_error(validate_element, spec, bad)
+                    assert want is not None
+                    assert _first_error(validate_elements, spec, xs) == want
+                    assert _first_error(GroundSet, spec, tuple(xs)) == want
+
+    def test_no_object_per_element(self):
+        """The tuple ops allocate their results and no other object per
+        element.  The cyclic collector runs once per `threshold` net
+        allocations of objects it tracks, so n new tuples cost about
+        n / threshold collections; a transpose with zip(*xs), which makes an
+        iterator per element, cost twice or three times that."""
+        threshold = gc.get_threshold()[0]
+        if not gc.isenabled() or not threshold:
+            pytest.skip("the cyclic collector is off")
+        n = 50_000
+        rng = random.Random(13)
+        runs = []
+
+        def count(phase, info):
+            if phase == "start":
+                runs.append(info["generation"])
+
+        for spec in (IntegerVectors(2), CyclicProduct((7, 11, 13))):
+            xs = [random_element(rng, spec) for _ in range(n)]
+            ys = xs[::-1]
+            # validation makes no tuple at all
+            for op, args, most in ((group_add_all, (spec, xs, ys), 1.5),
+                                   (group_neg_all, (spec, xs), 1.5),
+                                   (validate_elements, (spec, xs), 0.5)):
+                gc.collect()
+                runs.clear()
+                gc.callbacks.append(count)
+                try:
+                    op(*args)
+                finally:
+                    gc.callbacks.remove(count)
+                assert len(runs) <= most * n / threshold, (spec, op.__name__, len(runs))
 
 
 class TestSerialization:

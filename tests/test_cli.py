@@ -296,6 +296,24 @@ class TestVerify:
         assert [r.get("type") for r in rows] == ["header", None, None]
         assert [r["params"]["n"] for r in rows[1:]] == [1, 2]
 
+    @pytest.mark.parametrize("line", ["{}", "[]", "7", '{"conjecture": "3.13"}',
+                                      '{"conjecture": "3.13", "params": [1]}'])
+    def test_resume_on_a_line_that_is_no_record_is_usage_error(self, capsys, tmp_path, line):
+        # valid JSON but neither a header nor a record: the file is left as it is
+        out_path = tmp_path / "r.jsonl"
+        run(capsys, "verify", "--conjecture", "3.13", "--from", "1", "--to", "2",
+            "--out", str(out_path))
+        header, n1, _n2 = out_path.read_text().splitlines(keepends=True)
+        out_path.write_text(header + n1 + line + "\n")
+        before = out_path.read_text()
+        code, _, err = run(
+            capsys, "verify", "--conjecture", "3.13", "--from", "1", "--to", "2",
+            "--out", str(out_path), "--resume",
+        )
+        assert code == 3
+        assert f"line 3 is neither a header nor a record: {line}" in err
+        assert out_path.read_text() == before
+
     def test_exceptional_family_exit_zero(self, capsys):
         code, out, err = run(
             capsys, "verify", "--conjecture", "3.12i", "--family", "exceptional"

@@ -416,6 +416,15 @@ class TestOracleSlices:
             got[cid] = h.hexdigest()[:16]
         assert got == CATALOG_DIGESTS
 
+    def test_312_sweeps_n5_with_seeds(self):
+        # the nonzero window {-2, -1, 1, 2} has 4 elements, so n = 5 is seeded
+        for cid in ("3.12i", "3.12ii"):
+            assert iter_params(cid, 5, 5, 2) == [{"n": 5, "seed": s} for s in (2, 3, 4)]
+            assert iter_params(cid, 4, 4, 2)[0] == {"n": 4, "m": 2, "subset": 0}
+            for p in iter_params(cid, 5, 5):
+                assert len(instance(cid, p).ground) == 5
+        assert iter_params("3.1", 7, 7)[0] == {"n": 7, "m": 4, "subset": 0, "first": 0}
+
     def test_iter_params_deterministic(self):
         a = iter_params("3.1", 3, 4)
         b = iter_params("3.1", 3, 4)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from permlab.algebra import CIRCULAR, Integers, IntegerVectors
 from permlab.constructions import (
     _repair_tagged,
+    _sorted_distinct,
     _triple_cycle_tagged,
     _weighted_cycle_tagged,
     circular_distinct_diffs,
@@ -347,6 +348,41 @@ class TestRepairAdjacentSums:
     def test_too_small(self):
         with pytest.raises(ValueError):
             repair_adjacent_sums([1, 2])
+
+
+def _set_sorted_distinct(values, what):
+    """_sorted_distinct with the distinctness test on a set, before the sort."""
+    vals = list(values)
+    if len(set(vals)) != len(vals):
+        raise ValueError(f"{what} must be distinct")
+    return sorted(vals)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSortedDistinct:
+    @pytest.mark.parametrize("values", [
+        [], [5], [3, 1, 2], [3, 1, 2, 1], [True, 1], [1, 1.0, 2], [2, 0, -7, 9, 0],
+        [(0, 1), (1, 0), (0, 1)], [(2, 2), (0, 1), (1, 5)], [(0, 1), (0,), (0, 1, 2)],
+        [1, "a", 2], [1, "a", 1], ["b", "a", "b"], [[2], [1]], [[1], [1]], [[1], "a"],
+        [(1, [2]), (0, [1])], [None, 1], [None, None],
+    ])
+    def test_same_answer_and_error_as_a_set_first(self, values):
+        assert _outcome(_sorted_distinct, values, "values") == _outcome(
+            _set_sorted_distinct, values, "values")
+
+    def test_builders_name_the_fault(self):
+        with pytest.raises(ValueError, match="^values must be distinct$"):
+            repair_adjacent_sums([3, 1, "a", 1])
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            weighted_sum_cycle([[0, 1], [1, 0], [1, 5], [2, 2]], IntegerVectors(2))
+        with pytest.raises(ValueError, match="^values must be strictly increasing and distinct$"):
+            zigzag_distances([1, 3, 3, 4])
 
 
 class TestRandomizedPostconditions:
