@@ -13,7 +13,9 @@ over one element, choosing the arithmetic once per sequence and then
 running map passes.  They make no object per element beyond the results:
 tuples are read a coordinate column at a time through itemgetter passes,
 not transposed with zip(*xs), which makes one iterator per element for
-the cyclic garbage collector to track.
+the cyclic garbage collector to track.  Over F_{p**k} they run a pass per
+base-p digit for sums, which add digits without carry, and one pass
+through the field's exp/log tables for products.
 """
 
 from __future__ import annotations
@@ -300,7 +302,13 @@ def group_add_all(spec: GroupSpec, xs, ys) -> list:
         return list(map(spec.p.__rmod__, map(add, xs, ys)))
     if spec.p == 2:
         return list(map(xor, xs, ys))
-    return list(map(partial(_ppf_add, spec), xs, ys))
+    # digit w of a sum is the digits of x and y at w added mod p, that is
+    # x // w + y // w mod p, since their higher digits are multiples of p
+    p = spec.p
+    sums = [0] * len(xs)
+    for w in map(p.__pow__, range(spec.k)):
+        sums = [s + (x // w + y // w) % p * w for s, x, y in zip(sums, xs, ys)]
+    return sums
 
 
 def group_neg_all(spec: GroupSpec, xs) -> list:
@@ -330,8 +338,19 @@ def group_mul_all(spec: GroupSpec, xs, ys) -> list:
     if isinstance(spec, PrimeField):
         return list(map(spec.p.__rmod__, map(mul, xs, ys)))
     if isinstance(spec, PrimePowerField):
-        return list(map(field_view(spec).mul, xs, ys))
+        exp, log = _product_tables(spec)
+        return [exp[log[x] + log[y]] for x, y in zip(xs, ys)]
     raise ValueError(f"multiplication is not defined on {spec!r}")
+
+
+@lru_cache(maxsize=8)
+def _product_tables(spec: PrimePowerField) -> tuple:
+    """exp and log over F_q laid out so that exp[log[x] + log[y]] is x*y
+    for every x and y: two periods of exp, then zeros wherever log(0),
+    which is 2(q - 1), takes a sum."""
+    fv = field_view(spec)
+    q = fv.q
+    return list(fv.exp_table * 2) + [0] * (2 * q - 1), [2 * (q - 1), *fv.log_table[1:]]
 
 
 def group_cmp(spec: GroupSpec, x: Element, y: Element) -> int:

@@ -52,6 +52,7 @@ from .constructions import (
 )
 from .numtheory import PredicateSpec
 from .search import (
+    BRUTE_FORCE_MAX,
     DEFAULT_BUDGET,
     Constraint,
     PredicateClause,
@@ -248,8 +249,9 @@ def cmd_search(args) -> int:
     except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.all_small and len(ground) > 9:
-        print("error: --all-small needs a ground set of at most 9 elements", file=sys.stderr)
+    if args.all_small and len(ground) > BRUTE_FORCE_MAX:
+        print(f"error: --all-small needs a ground set of at most {BRUTE_FORCE_MAX} elements",
+              file=sys.stderr)
         return EXIT_USAGE
     out = search(ground, shape, constraint, args.budget)
     doc = {
@@ -313,7 +315,6 @@ def _resume_keys(path: str) -> tuple[set, bool]:
 
 def cmd_verify(args) -> int:
     budget = args.budget
-    ids = [args.conjecture]
     if args.conjecture not in CONJECTURE_IDS:
         print(
             f"error: unknown conjecture {args.conjecture!r}; known ids:\n  "
@@ -401,9 +402,11 @@ def cmd_fixtures(args) -> int:
         ok = g.passes()
         print(f"golden {g.name:35s} {'PASS' if ok else 'FAIL'}")
         failures += 0 if ok else 1
-        if sink:
+        # a stored witness that fails its check proves nothing, so it gets
+        # no record: the FAIL line and the exit code report it
+        if sink and ok:
             rec = VerificationRecord(
-                g.conjecture, g.params, "witness" if ok else "exhausted",
+                g.conjecture, g.params, "witness",
                 [element_coords(g.arrangement().spec, x) for x in g.arrangement().elements],
                 0, 0, note=f"stored witness {g.name}",
             )
@@ -454,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", required=True)
     s.add_argument("--budget", type=int, default=default_budget())
     s.add_argument("--all-small", action="store_true",
-                   help="also run the brute-force oracle (ground size <= 9)")
+                   help=f"also run the brute-force oracle (ground size <= {BRUTE_FORCE_MAX})")
     s.set_defaults(fn=cmd_search)
 
     v = sub.add_parser("verify", help="run a verification campaign")

@@ -26,17 +26,18 @@ back to the start.
 
 Label arithmetic
 ----------------
-The kernel names elements by ints where it can: the element itself over
-the integers, Z/m and the fields, its mixed-radix rank over a multi-rank
-CyclicProduct (integer vectors stay tuples).  Rainbow labels are computed on
-these names when a search starts, a row of pair labels per element.  A
-triple window (a, b, c) reads the pair sum of a and b there and adds c
-through a row of c filled as its labels are first met, so that row holds
-only the labels the search visits.  check() shares none of this: it
-recomputes every label from the elements, a clause at a time, on columns
-of the arrangement (the first, second and third element of every window)
-through algebra.py's whole-sequence ops, in rainbow_labels and
-predicate_labels.
+Labels are defined once, in rainbow_labels and predicate_labels over
+algebra.py's whole-sequence ops.  When a search starts, the kernel calls
+them on columns that hold blocks of whole rows of ordered pairs: each
+rainbow clause gets a row of pair labels per element, labels that are not
+ints (tuples) named by small ints, and each predicate clause a row of
+truths per element, its adjacency bitmask.  A triple window (a, b, c)
+reads the pair sum of a and b there and adds c through a row of c filled
+as its labels are first met, so that row holds only the labels the search
+visits.  check() calls the same two functions on columns of the
+arrangement's windows; its distinctness and truth tests are its own.  The
+tests' per-window reference checker (one-element group ops) and
+perfbench/oracle.py (arithmetic of its own) share neither function.
 
 Symmetry reduction
 ------------------
@@ -52,9 +53,10 @@ start, in ascending order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, permutations
+from itertools import chain, compress, count, permutations, repeat
 from operator import add, mul, sub
 
 from .algebra import (
@@ -73,7 +75,6 @@ from .algebra import (
     group_add,
     group_add_all,
     group_double,
-    group_mul,
     group_mul_all,
     group_neg,
     group_neg_all,
@@ -237,10 +238,6 @@ def _require_int_elements(spec: GroupSpec, labeler: str):
         raise ValueError(f"labeler {labeler!r} needs plain integer elements")
 
 
-def _multi_rank(spec: GroupSpec) -> bool:
-    return isinstance(spec, CyclicProduct) and len(spec.moduli) > 1
-
-
 def rainbow_labels(spec: GroupSpec, clause: RainbowClause, xs, ys, zs=None) -> list:
     """The labels of a rainbow clause on a column of windows: window i is
     (xs[i], ys[i]), or (xs[i], ys[i], zs[i]) for triple."""
@@ -326,7 +323,9 @@ def _predicate_evaluator(spec: GroupSpec, pred: PredicateSpec):
     if isinstance(spec, (PrimeField, PrimePowerField)) and pred.kind in MODULAR_KINDS:
         table = _field_table(spec, pred)
         return lambda rows: [bytes(map(table.__getitem__, row)) for row in rows]
-    if isinstance(spec, (PrimePowerField, IntegerVectors)) or _multi_rank(spec):
+    if isinstance(spec, (PrimePowerField, IntegerVectors)) or (
+        isinstance(spec, CyclicProduct) and len(spec.moduli) > 1
+    ):
         raise ValueError(f"predicate {pred.kind} is not defined over {spec!r}")
     if pred.kind in MODULAR_KINDS or pred.kind == "coprime_to":
         table = PredicateTable(pred)
@@ -377,10 +376,11 @@ def _columns(arrangement: Arrangement, arity: int) -> list:
 def check(arrangement: Arrangement, constraint: Constraint) -> CheckReport:
     """Certificate check by direct recomputation of every clause.  Each
     clause's labels are computed on columns of the arrangement's elements
-    through algebra.py's whole-sequence ops; window positions are built
-    only to report a violation.  Shares no state or arithmetic with the
-    search kernel's incremental tracking; this is the oracle the kernel's
-    witnesses are validated against."""
+    by rainbow_labels and predicate_labels, the label functions the search
+    kernel also calls; window positions are built only to report a
+    violation.  The distinctness and truth tests are check()'s own, and it
+    shares no state with the kernel's incremental tracking; this is the
+    oracle the kernel's witnesses are validated against."""
     spec = arrangement.spec
     elems = arrangement.elements
     n = len(elems)
@@ -470,141 +470,21 @@ def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
             raise ValueError("first and last pins coincide")
 
 
-def _mixed_radix(moduli) -> list:
-    """(weight, base) of each digit of a mixed-radix rank over the given
-    moduli, in their order; the last digit weighs 1."""
-    radix, w = [], 1
-    for m in reversed(moduli):
-        radix.append((w, m))
-        w *= m
-    return radix[::-1]
+# pairs per label call when the kernel labels whole rows of pairs: enough
+# that a call's fixed cost is small, few enough that its columns are small
+# beside the rows they fill
+_PAIRS_PER_CALL = 1 << 12
 
 
-def _ranks(spec: GroupSpec, xs) -> list:
-    """The names the kernel's label arithmetic gives elements: the element
-    itself, save over a multi-rank CyclicProduct, whose elements are ranked
-    in mixed radix, so that ranks sort as the tuples do."""
-    if not _multi_rank(spec):
-        return xs
-    weights = [w for w, _ in _mixed_radix(spec.moduli)]
-    return [sum(map(int.__mul__, x, weights)) for x in xs]
-
-
-@lru_cache(maxsize=64)
-def _row_arithmetic(spec: GroupSpec):
-    """Label arithmetic chosen once for the ground's spec, on the names
-    _ranks gives elements, as group_add and group_mul give it: add(s, ys) is
-    [s + y for y in ys], mul(x, ys) is [x * y for y in ys] and plus(s, y) is
-    s + y for one pair."""
-    if isinstance(spec, Integers):
-        return (lambda s, ys: list(map(s.__add__, ys)),
-                lambda x, ys: list(map(x.__mul__, ys)),
-                int.__add__)
-    if isinstance(spec, PrimeField):
-        p = spec.p
-        return (lambda s, ys: list(map(p.__rmod__, map(s.__add__, ys))),
-                lambda x, ys: list(map(p.__rmod__, map(x.__mul__, ys))),
-                lambda s, y: (s + y) % p)
-    if isinstance(spec, PrimePowerField):
-        return _field_row_arithmetic(spec)
-
-    def mul(x, ys):  # group_mul raises: a group has no product
-        return [group_mul(spec, x, y) for y in ys]
-
-    if isinstance(spec, CyclicProduct):
-        if len(spec.moduli) == 1:
-            m = spec.moduli[0]
-            return (lambda s, ys: list(map(m.__rmod__, map(s.__add__, ys))), mul,
-                    lambda s, y: (s + y) % m)
-        add, plus = _radix_arithmetic(_mixed_radix(spec.moduli))
-        return add, mul, plus
-    return (lambda s, ys: [group_add(spec, s, y) for y in ys], mul,
-            lambda s, y: group_add(spec, s, y))
-
-
-def _radix_arithmetic(radix) -> tuple:
-    """add(s, ys) and plus(s, y) over mixed-radix ranks, (weight, base) per
-    digit: each digit adds modulo its base, without carry into the next."""
-
-    def add(s, ys):
-        row = ys
-        for w, m in radix:
-            d = s // w % m
-            if d:
-                # the digit at w wraps past m where it is at least m - d
-                wraps = map((m - d - 1).__lt__, map(m.__rmod__, map(w.__rfloordiv__, row)))
-                row = list(map(sub, map((d * w).__add__, row), map((m * w).__mul__, wraps)))
-        return list(row)
-
-    def plus(s, y):
-        v = s + y
-        for w, m in radix:
-            if s // w % m + y // w % m >= m:
-                v -= w * m
-        return v
-
-    return add, plus
-
-
-@lru_cache(maxsize=8)
-def _product_tables(spec: PrimePowerField) -> tuple:
-    """exp and log over F_q laid out so that exp[log[x] + log[y]] is x*y
-    for every x != 0 and every y: two periods of exp, then zeros where
-    log(0) points.  Cached, so only the first product row over a field
-    pays for them."""
-    fv = field_view(spec)
-    q = fv.q
-    return fv.exp_table * 2 + (0,) * (q - 1), (2 * (q - 1),) + fv.log_table[1:]
-
-
-def _field_row_arithmetic(spec: PrimePowerField):
-    """Row arithmetic over F_{p**k}.  Products go through field_view's
-    exp/log tables.  Sums add base-p digits without carry, which is XOR
-    when p = 2."""
-
-    def mul(x, ys):
-        if x == 0:
-            return [0] * len(ys)
-        exp, log = _product_tables(spec)
-        return list(map(exp.__getitem__, map(log[x].__add__, map(log.__getitem__, ys))))
-
-    if spec.p == 2:
-        return (lambda s, ys: list(map(s.__xor__, ys))), mul, int.__xor__
-    add, plus = _radix_arithmetic([(spec.p**i, spec.p) for i in range(spec.k)])
-    return add, mul, plus
-
-
-def _label_rows(spec: GroupSpec, clause: PredicateClause, elems) -> list:
-    """The labels of a predicate clause on every ordered pair of elems, as
-    predicate_labels gives them, one row per x: row i holds the labels of
-    (elems[i], y) for every y in elems, the diagonal included.
-    abs_diff_and_sum, with two labels per pair, adds a second block of n
-    rows."""
-    lb = clause.labeler
-    if lb in _INTEGER_ONLY_LABELERS:
-        _require_int_elements(spec, lb)
-        if lb == LB_ABS_DIFF_AND_SUM:
-            return [list(map(abs, map(x.__sub__, elems))) for x in elems] + [
-                list(map(x.__add__, elems)) for x in elems
-            ]
-        if lb == LB_SQUARE_MINUS:
-            return [list(map((x * x).__sub__, elems)) for x in elems]
-        if lb == LB_ABS_SQUARE_DIFF:
-            squares = [y * y for y in elems]
-            return [list(map(abs, map((x * x).__sub__, squares))) for x in elems]
-        one = 1 if lb == LB_TWO_PRODUCT_PLUS_ONE else -1
-        return [list(map(one.__add__, map((2 * x).__mul__, elems))) for x in elems]
-    add, mul, _ = _row_arithmetic(spec)
-    if lb == LB_SUM:
-        return [add(x, elems) for x in elems]
-    if lb == LB_DIFF:
-        negs = [group_neg(spec, y) for y in elems]
-        return [add(x, negs) for x in elems]
-    if lb == LB_SQUARE_PLUS:
-        return [add(group_mul(spec, x, x), elems) for x in elems]
-    products = [mul(x, elems) for x in elems]
-    c = clause.a0 if lb == LB_AFFINE_PRODUCT else group_neg(spec, 1)
-    return [add(c, row) for row in products]
+def _row_blocks(xs: list, ys: list):
+    """Every ordered pair (x, y) of xs by ys, as a column of x and a column
+    of y, a block of whole rows of about _PAIRS_PER_CALL pairs at a time:
+    each x in turn with every y, in order."""
+    n = len(ys)
+    step = max(1, _PAIRS_PER_CALL // n)
+    for i in range(0, len(xs), step):
+        rows = xs[i:i + step]
+        yield list(chain.from_iterable(map(repeat, rows, repeat(n)))), ys * len(rows)
 
 
 class _LazyRow(dict):
@@ -619,44 +499,50 @@ class _LazyRow(dict):
         return v
 
 
-def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems, ranks) -> tuple:
+def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list) -> tuple:
     """The kernel's state for one rainbow clause: (arity, pair labels,
-    triple rows, labels in use).  Pair labels are rainbow_labels', named as
-    _ranks names elements, one row per x: row i holds the labels of
-    (elems[i], y) for every y in elems, the diagonal included.  For triple
-    they are pair sums, and a window (a, b, c) has the label
-    rows[c][pairs[a][b]]."""
+    triple rows, labels in use).  Pair labels are rainbow_labels', one row
+    per x: row i holds the labels of (elems[i], y) for every y in elems, the
+    diagonal included.  Labels that are not ints are named by small ints,
+    in order of first sight.  For triple the pair labels are pair sums, and
+    a window (a, b, c) has the label rows[c][pairs[a][b]]."""
     kind = clause.kind
-    if kind == RB_DISTANCE:
-        _require_int_elements(spec, kind)
-        pairs = [list(map(abs, map(x.__sub__, elems))) for x in elems]
-    else:
-        add, mul, plus = _row_arithmetic(spec)
-        if kind == RB_PRODUCT:
-            pairs = [mul(x, ranks) for x in ranks]
-        else:
-            ys = ranks
-            if kind == RB_DIFF:
-                ys = _ranks(spec, [group_neg(spec, y) for y in elems])
-            elif kind == RB_WEIGHTED:
-                ys = _ranks(spec, [group_double(spec, y) for y in elems])
-            pairs = [add(x, ys) for x in ranks]
     m = clause.modulus
-    if m is not None and isinstance(elems[0], tuple):
-        raise ValueError("modulus applies to integer labels only")
+    n = len(elems)
+    names = defaultdict(count().__next__) if isinstance(elems[0], tuple) else None
+    ys = elems
+    pair = clause
+    # x - y and x + 2y are sums of x and a column of -y or 2y made once
+    if kind == RB_DIFF:
+        ys = group_neg_all(spec, elems)
+        pair = RainbowClause(RB_SUM, m)
+    elif kind == RB_WEIGHTED:
+        ys = group_add_all(spec, elems, elems)
+        pair = RainbowClause(RB_SUM, m)
+    elif kind == RB_TRIPLE:
+        if m is not None and names is not None:
+            raise ValueError("modulus applies to integer labels only")
+        pair = RainbowClause(RB_SUM)
+    pairs = []
+    for xs, block_ys in _row_blocks(elems, ys):
+        labels = rainbow_labels(spec, pair, xs, block_ys)
+        if names is not None:
+            labels = list(map(names.__getitem__, labels))
+        pairs += [labels[k:k + n] for k in range(0, len(labels), n)]
     if kind != RB_TRIPLE:
-        if m is not None:
-            pairs = [list(map(m.__rmod__, row)) for row in pairs]
         return 2, pairs, None, set()
-    label = plus
-    if m is not None:
+    # a triple label is the sum label of the pair sum and the third element
+    plus_z = RainbowClause(RB_SUM, m)
+    values = list(names) if names is not None else None  # the pair sums by name
 
-        def label(s, z):
-            return plus(s, z) % m
+    def plus(s, z):
+        if values is None:
+            return rainbow_labels(spec, plus_z, [s], [z])[0]
+        return names[rainbow_labels(spec, plus_z, [values[s]], [z])[0]]
 
-    rows = [_LazyRow() for _ in ranks]
-    for row, z in zip(rows, ranks):
-        row.plus = label
+    rows = [_LazyRow() for _ in elems]
+    for row, z in zip(rows, elems):
+        row.plus = plus
         row.z = z
     return 3, pairs, rows, set()
 
@@ -668,17 +554,30 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 def _compile_adjacency(spec, elems, pclauses):
     """Directed adjacency bitmasks from the conjunction of the predicate
     clauses.  out_mask[i] bit j set means the directed edge elems[i] ->
-    elems[j] is allowed.  Each clause's labels come a row at a time, their
-    truths from the one evaluator, and a row of truths becomes a bitmask in
-    one step."""
+    elems[j] is allowed.  Each clause's labels come from predicate_labels on
+    blocks of whole rows of pairs, their truths from the one evaluator in
+    one call, and a row of truths becomes a bitmask in one step."""
     n = len(elems)
-    evaluators = [_predicate_evaluator(spec, cl.predicate) for cl in pclauses]
     out_mask = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
     if n == 1:
         return out_mask, out_mask  # no pairs, so no labels
-    for cl, truths in zip(pclauses, evaluators):
-        for i, row in enumerate(truths(_label_rows(spec, cl, elems))):
-            out_mask[i % n] &= int(row.translate(_BIT_CHARS)[::-1], 2)
+    for cl in pclauses:
+        truths = _predicate_evaluator(spec, cl.predicate)
+        ys = elems
+        if cl.labeler == LB_DIFF:
+            # x - y is the sum of x and -y: negate the n elements once
+            ys = group_neg_all(spec, elems)
+            cl = PredicateClause(cl.predicate, LB_SUM)
+        blocks = [predicate_labels(spec, cl, xs, block_ys) for xs, block_ys in _row_blocks(elems, ys)]
+        # abs_diff_and_sum gives two labels a pair, and both must pass
+        per_pair = 2 if cl.labeler == LB_ABS_DIFF_AND_SUM else 1
+        width = per_pair * n
+        i = 0
+        for bits in truths(blocks):
+            for k in range(0, len(bits), width):
+                for o in range(k, k + per_pair):
+                    out_mask[i] &= int(bits[o:k + width:per_pair].translate(_BIT_CHARS)[::-1], 2)
+                i += 1
     # transpose: in_mask[j] bit i is out_mask[i] bit j
     bits = [format(m, f"0{n}b") for m in out_mask]
     in_mask = [int("".join(col)[::-1], 2) for col in zip(*bits)][::-1]
@@ -708,9 +607,8 @@ def search(
 
     # one label tracker per rainbow clause, in clause order (see
     # _rainbow_tracker); a single element has no windows, so no labels
-    ranks = _ranks(spec, elems)
     trackers = [] if n == 1 else [
-        _rainbow_tracker(spec, cl, elems, ranks)
+        _rainbow_tracker(spec, cl, elems)
         for cl in constraint.clauses
         if isinstance(cl, RainbowClause)
     ]

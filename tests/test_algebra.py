@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import product
 
 import pytest
 
@@ -315,20 +316,27 @@ def _reference_members(spec, elements, what):
 class TestWholeSequenceOps:
     def test_match_one_element_ops(self):
         rng = random.Random(6)
+        cases = []
         for spec in SEQUENCE_SPECS:
             for n in (0, 1, 2, 7, 40):
                 xs = [any_element(rng, spec) for _ in range(n)]
                 ys = [any_element(rng, spec) for _ in range(n)]
-                assert group_add_all(spec, xs, ys) == [group_add(spec, x, y) for x, y in zip(xs, ys)]
-                assert group_neg_all(spec, xs) == [group_neg(spec, x) for x in xs]
-                c = any_element(rng, spec)
-                assert group_add_all(spec, [c] * n, ys) == [group_add(spec, c, y) for y in ys]
-                try:
-                    group_mul(spec, c, c)
-                except ValueError as exc:  # a group has no product
-                    assert _first_error(group_mul_all, spec, xs, ys) == str(exc)
-                else:
-                    assert group_mul_all(spec, xs, ys) == [group_mul(spec, x, y) for x, y in zip(xs, ys)]
+                cases.append((spec, xs, ys, any_element(rng, spec)))
+        # every pair over three prime-power fields, so that 0 * 0 and a
+        # carry out of every digit occur, which random pairs can miss
+        for q in (9, 25, 27):
+            xs, ys = map(list, zip(*product(range(q), repeat=2)))
+            cases.append((field_spec_for(q), xs, ys, q - 1))
+        for spec, xs, ys, c in cases:
+            assert group_add_all(spec, xs, ys) == [group_add(spec, x, y) for x, y in zip(xs, ys)]
+            assert group_neg_all(spec, xs) == [group_neg(spec, x) for x in xs]
+            assert group_add_all(spec, [c] * len(ys), ys) == [group_add(spec, c, y) for y in ys]
+            try:
+                group_mul(spec, c, c)
+            except ValueError as exc:  # a group has no product
+                assert _first_error(group_mul_all, spec, xs, ys) == str(exc)
+            else:
+                assert group_mul_all(spec, xs, ys) == [group_mul(spec, x, y) for x, y in zip(xs, ys)]
 
     def test_validate_elements_names_the_first_bad_element(self):
         rng = random.Random(7)

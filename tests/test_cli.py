@@ -1,8 +1,10 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from permlab import cli
 from permlab.cli import arrangement_from_dict, arrangement_to_dict, main
 
 
@@ -409,6 +411,23 @@ class TestFixturesCommand:
         assert "FAIL" not in out
         rows = read_jsonl(out_path)
         assert len(rows) == 19
+
+    def test_failing_stored_witness_writes_no_record(self, capsys, tmp_path, monkeypatch):
+        # sorted order is no 3.7i witness; a record would claim a proof of
+        # nonexistence after 0 nodes
+        fixtures = [
+            replace(g, elements=tuple(sorted(g.elements))) if g.name == "sums-primitive-mod11" else g
+            for g in cli.golden_fixtures()
+        ]
+        monkeypatch.setattr(cli, "golden_fixtures", lambda: fixtures)
+        out_path = tmp_path / "fix.jsonl"
+        code, out, _ = run(capsys, "fixtures", "--out", str(out_path))
+        assert code == 1
+        assert out.count("FAIL") == 1
+        assert "sums-primitive-mod11" in next(line for line in out.splitlines() if "FAIL" in line)
+        rows = read_jsonl(out_path)
+        assert len(rows) == 18
+        assert all(row.get("note") != "stored witness sums-primitive-mod11" for row in rows)
 
 
 class TestArgumentErrors:

@@ -34,7 +34,6 @@ from permlab.search import (
     _compile_adjacency,
     _predicate_evaluator,
     _rainbow_tracker,
-    _ranks,
     brute_force_enumerate,
     canonical_form,
     check,
@@ -469,8 +468,8 @@ def group_conjunctions(draw):
 
 
 class TestDifferentialFenceGroups:
-    """The fence of TestDifferentialFence over the grounds whose labels the
-    kernel names by mixed-radix ranks, field elements or vectors."""
+    """The fence of TestDifferentialFence over groups, fields and vectors,
+    whose tuple labels the kernel names by small ints."""
 
     @given(group_conjunctions())
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -797,12 +796,11 @@ def _assert_same_partition(kernel, reference):
 
 class TestRainbowLabels:
     """The kernel's label matrices and triple rows against rainbow_labels,
-    window by window: ranks and elements must split the windows alike."""
+    window by window: names and elements must split the windows alike."""
 
     @pytest.mark.parametrize("spec, elems", _LABEL_GROUNDS, ids=lambda v: repr(v)[:24])
     def test_every_kind_with_and_without_modulus(self, spec, elems):
         elems = sorted(elems)
-        ranks = _ranks(spec, elems)
         ground = GroundSet(spec, tuple(elems))
         for kind in ("sum", "diff", "distance", "weighted", "triple", "product"):
             for modulus in (None, 3):
@@ -816,17 +814,12 @@ class TestRainbowLabels:
                         with pytest.raises(ValueError, match=re.escape(str(exc))):
                             search(ground, shape, Constraint((clause,)))
                     continue
-                _, pairs, rows, _ = _rainbow_tracker(spec, clause, elems, ranks)
+                _, pairs, rows, _ = _rainbow_tracker(spec, clause, elems)
                 if kind == "triple":
                     kernel = {(a, b, c): rows[c][pairs[a][b]] for a, b, c in reference}
                 else:
                     kernel = {(a, b): pairs[a][b] for a, b in reference}
                 _assert_same_partition(kernel, reference)
-
-    def test_multi_rank_ranks_sort_as_tuples(self):
-        spec = CyclicProduct((2, 4, 3))
-        elems = _group_elements(spec.moduli)
-        assert _ranks(spec, elems) == list(range(len(elems)))
 
 
 class TestPairNumbering:
