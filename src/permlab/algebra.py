@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
 from math import gcd, isqrt
-from operator import add, itemgetter, mod, mul, neg, xor
+from operator import add, floordiv, itemgetter, mod, mul, neg, xor
 
 from .numtheory import factorize, is_prime
 
@@ -294,12 +294,12 @@ def group_add_all(spec: GroupSpec, xs, ys) -> list:
     if isinstance(spec, CyclicProduct):
         moduli = spec.moduli
         if len(moduli) == 1:
-            return list(map(moduli[0].__rmod__, map(add, xs, ys)))
+            return list(map(mod, map(add, xs, ys), repeat(moduli[0])))
         r = len(moduli)
         sums = map(map, repeat(add), _columns(xs, r), _columns(ys, r))
         return list(zip(*map(map, [m.__rmod__ for m in moduli], sums)))
     if isinstance(spec, PrimeField):
-        return list(map(spec.p.__rmod__, map(add, xs, ys)))
+        return list(map(mod, map(add, xs, ys), repeat(spec.p)))
     if spec.p == 2:
         return list(map(xor, xs, ys))
     # digit w of a sum is the digits of x and y at w added mod p, that is
@@ -320,11 +320,11 @@ def group_neg_all(spec: GroupSpec, xs) -> list:
     if isinstance(spec, CyclicProduct):
         moduli = spec.moduli
         if len(moduli) == 1:
-            return list(map(moduli[0].__rmod__, map(neg, xs)))
+            return list(map(mod, map(neg, xs), repeat(moduli[0])))
         negs = map(map, repeat(neg), _columns(xs, len(moduli)))
         return list(zip(*map(map, [m.__rmod__ for m in moduli], negs)))
     if isinstance(spec, PrimeField):
-        return list(map(spec.p.__rmod__, map(neg, xs)))
+        return list(map(mod, map(neg, xs), repeat(spec.p)))
     if spec.p == 2:
         return list(xs)
     return list(map(partial(group_neg, spec), xs))
@@ -336,7 +336,7 @@ def group_mul_all(spec: GroupSpec, xs, ys) -> list:
     if isinstance(spec, Integers):
         return list(map(mul, xs, ys))
     if isinstance(spec, PrimeField):
-        return list(map(spec.p.__rmod__, map(mul, xs, ys)))
+        return list(map(mod, map(mul, xs, ys), repeat(spec.p)))
     if isinstance(spec, PrimePowerField):
         exp, log = _product_tables(spec)
         return [exp[log[x] + log[y]] for x, y in zip(xs, ys)]
@@ -541,9 +541,7 @@ def field_view(spec: PrimeField | PrimePowerField) -> FieldView:
     if isinstance(spec, PrimeField):
         exp = _power_table(generator, q)
     else:
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = mul(exp[i - 1], generator)
+        exp = _ppf_power_table(spec, generator)
     log = [0] * q
     for i, v in enumerate(exp):
         log[v] = i
@@ -569,6 +567,33 @@ def _power_table(g: int, p: int) -> list[int]:
         block = list(map(mod, map(mul, block, repeat(step)), repeat(p)))
         exp += block
     del exp[p - 1:]
+    return exp
+
+
+def _ppf_power_table(spec: PrimePowerField, g: int) -> list[int]:
+    """[g**i for i in range(q - 1)] over F_p[x] / (poly), built a block of
+    about sqrt(q) powers at a time as _power_table builds them over F_p:
+    each block is the one before times h = g**b.  Multiplying by h is
+    F_p-linear, so for v = lo + hi * p**s it is h * lo + (h * x**s) * hi,
+    two reads of tables of about sqrt(q) products and one group_add_all."""
+    q = spec.q
+    mul = partial(_ppf_mul_raw, spec)
+    b = isqrt(q - 1) + 1
+    block = [1] * b
+    for i in range(1, b):
+        block[i] = mul(block[i - 1], g)
+    h = mul(block[-1], g)  # g**b
+    split = spec.p ** (spec.k // 2)  # x**s
+    h_lo = [mul(h, v) for v in range(split)]
+    h_split = mul(h, split)
+    h_hi = [mul(h_split, v) for v in range(-(-q // split))]
+    exp = list(block)
+    while len(exp) < q - 1:
+        los = map(mod, block, repeat(split))
+        his = map(floordiv, block, repeat(split))
+        block = group_add_all(spec, list(map(h_lo.__getitem__, los)), list(map(h_hi.__getitem__, his)))
+        exp += block
+    del exp[q - 1:]
     return exp
 
 

@@ -3,14 +3,16 @@ predicate constraints, plus the independent certificate checker.
 
 Determinism contract
 --------------------
-Candidate extensions are always tried in ascending element order, so the
-first witness, the node count and the outcome of a search are stable
-artifacts of the tool.  A node is one attempted placement: a candidate that
-survives static prefiltering (predicate adjacency lists, pin reservations,
-orientation canonicalization) and is tested against the incremental
-constraint state.  Budgets are measured in nodes, never wall time.  The walk
-is depth first over an explicit stack of levels, so the length of an
-arrangement has no recursion limit.
+Candidate extensions are always tried in ascending element order: a level's
+candidates are a bitmask over the sorted elements, taken lowest set bit
+first.  So the first witness, the node count and the outcome of a search
+are stable artifacts of the tool.  A node is one attempted placement: a
+candidate that survives static prefiltering (predicate adjacency masks, pin
+reservations, orientation canonicalization) and is tested against the
+incremental constraint state; one whose label repeats is still a node.
+Budgets are measured in nodes, never wall time.  The walk is depth first
+over an explicit stack of levels, so the length of an arrangement has no
+recursion limit.
 
 Pruning
 -------
@@ -29,15 +31,18 @@ Label arithmetic
 Labels are defined once, in rainbow_labels and predicate_labels over
 algebra.py's whole-sequence ops.  When a search starts, the kernel calls
 them on columns that hold blocks of whole rows of ordered pairs: each
-rainbow clause gets a row of pair labels per element, labels that are not
-ints (tuples) named by small ints, and each predicate clause a row of
-truths per element, its adjacency bitmask.  A triple window (a, b, c)
-reads the pair sum of a and b there and adds c through a row of c filled
-as its labels are first met, so that row holds only the labels the search
-visits.  check() calls the same two functions on columns of the
-arrangement's windows; its distinctness and truth tests are its own.  The
-tests' per-window reference checker (one-element group ops) and
-perfbench/oracle.py (arithmetic of its own) share neither function.
+rainbow clause gets a row of pair labels per element, and each predicate
+clause a row of truths per element, its adjacency bitmask.  Every rainbow
+label is named by a small int from one namer per search, so that no two
+clauses share a name, and the labels in use are tracked as the bits
+1 << name of one int, saved with each level of the walk and restored on
+backtrack.  A triple window (a, b, c) reads the pair sum of a and b there
+and names its label through a row of c filled as its labels are first met,
+so that row holds only the labels the search visits.  check() calls the
+same two functions on columns of the arrangement's windows; its
+distinctness and truth tests are its own.  The tests' per-window reference
+checker (one-element group ops) and perfbench/oracle.py (arithmetic of its
+own) share neither function.
 
 Symmetry reduction
 ------------------
@@ -56,8 +61,8 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, count, permutations, repeat
-from operator import add, mul, sub
+from itertools import chain, count, permutations, repeat
+from operator import add, mod, mul, sub
 
 from .algebra import (
     CIRCULAR,
@@ -259,7 +264,7 @@ def rainbow_labels(spec: GroupSpec, clause: RainbowClause, xs, ys, zs=None) -> l
     if m is not None and labels:
         if not isinstance(labels[0], int):
             raise ValueError("modulus applies to integer labels only")
-        labels = list(map(m.__rmod__, labels))
+        labels = list(map(mod, labels, repeat(m)))
     return labels
 
 
@@ -488,9 +493,9 @@ def _row_blocks(xs: list, ys: list):
 
 
 class _LazyRow(dict):
-    """Maps a pair sum s to the triple label plus(s, z) of s and one element
-    z, filled on first use, so that it holds only the labels a search
-    visits."""
+    """Maps a pair sum s to the name of the triple label plus(s, z) of s
+    and one element z, filled on first use, so that it holds only the
+    labels a search visits."""
 
     __slots__ = ("plus", "z")
 
@@ -499,17 +504,22 @@ class _LazyRow(dict):
         return v
 
 
-def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list) -> tuple:
-    """The kernel's state for one rainbow clause: (arity, pair labels,
-    triple rows, labels in use).  Pair labels are rainbow_labels', one row
-    per x: row i holds the labels of (elems[i], y) for every y in elems, the
-    diagonal included.  Labels that are not ints are named by small ints,
-    in order of first sight.  For triple the pair labels are pair sums, and
-    a window (a, b, c) has the label rows[c][pairs[a][b]]."""
+def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names: count) -> tuple:
+    """The kernel's state for one rainbow clause: (arity, pairs, triple
+    rows).  Every label is named by a small int drawn from names, the one
+    namer of a search's rainbow clauses, so that no two clauses share a
+    name; the kernel tracks the labels in use as the bits 1 << name of one
+    int.  Pair labels are rainbow_labels', one row per x: row i holds the
+    names of the labels of (elems[i], y) for every y in elems, the diagonal
+    included.  For triple, pairs holds pair sums (tuple sums named by small
+    ints of their own), and a window (a, b, c) has the label name
+    rows[c][pairs[a][b]]."""
     kind = clause.kind
     m = clause.modulus
     n = len(elems)
-    names = defaultdict(count().__next__) if isinstance(elems[0], tuple) else None
+    tuples = isinstance(elems[0], tuple)
+    label_name = defaultdict(names.__next__)
+    entry_of = label_name  # what a row holds for each label
     ys = elems
     pair = clause
     # x - y and x + 2y are sums of x and a column of -y or 2y made once
@@ -520,35 +530,37 @@ def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list) -> tup
         ys = group_add_all(spec, elems, elems)
         pair = RainbowClause(RB_SUM, m)
     elif kind == RB_TRIPLE:
-        if m is not None and names is not None:
+        if m is not None and tuples:
             raise ValueError("modulus applies to integer labels only")
         pair = RainbowClause(RB_SUM)
+        # pair sums are keys of the triple rows, not labels: tuple sums
+        # get names of their own, int sums stay as they are
+        entry_of = defaultdict(count().__next__) if tuples else None
     pairs = []
     for xs, block_ys in _row_blocks(elems, ys):
         labels = rainbow_labels(spec, pair, xs, block_ys)
-        if names is not None:
-            labels = list(map(names.__getitem__, labels))
+        if entry_of is not None:
+            labels = list(map(entry_of.__getitem__, labels))
         pairs += [labels[k:k + n] for k in range(0, len(labels), n)]
     if kind != RB_TRIPLE:
-        return 2, pairs, None, set()
+        return 2, pairs, None
     # a triple label is the sum label of the pair sum and the third element
     plus_z = RainbowClause(RB_SUM, m)
-    values = list(names) if names is not None else None  # the pair sums by name
+    sums = list(entry_of) if tuples else None  # the pair sums by name
 
     def plus(s, z):
-        if values is None:
-            return rainbow_labels(spec, plus_z, [s], [z])[0]
-        return names[rainbow_labels(spec, plus_z, [values[s]], [z])[0]]
+        if sums is not None:
+            s = sums[s]
+        return label_name[rainbow_labels(spec, plus_z, [s], [z])[0]]
 
     rows = [_LazyRow() for _ in elems]
     for row, z in zip(rows, elems):
         row.plus = plus
         row.z = z
-    return 3, pairs, rows, set()
+    return 3, pairs, rows
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _compile_adjacency(spec, elems, pclauses):
@@ -605,27 +617,20 @@ def search(
     n = len(elems)
     circular = shape == CIRCULAR
 
-    # one label tracker per rainbow clause, in clause order (see
-    # _rainbow_tracker); a single element has no windows, so no labels
+    # one label tracker per rainbow clause, in clause order, all naming
+    # their labels from one namer (see _rainbow_tracker); a single element
+    # has no windows, so no labels
+    names = count()
     trackers = [] if n == 1 else [
-        _rainbow_tracker(spec, cl, elems)
+        _rainbow_tracker(spec, cl, elems, names)
         for cl in constraint.clauses
         if isinstance(cl, RainbowClause)
     ]
     pclauses = [c for c in constraint.clauses if isinstance(c, PredicateClause)]
-
-    # bit i of a mask is byte i of format(mask, width).encode()
-    # .translate(_BIT_VALUES)[::-1], so compress reads its set bits off it
-    width = f"0{n}b"
     if pclauses:
         out_mask, in_mask = _compile_adjacency(spec, elems, pclauses)
-        nbr_out = [
-            list(compress(range(n), format(m, width).encode().translate(_BIT_VALUES)[::-1]))
-            for m in out_mask
-        ]
     else:
         out_mask = in_mask = None
-        nbr_out = None
 
     first_idx = elems.index(constraint.first) if constraint.first is not None else None
     last_idx = elems.index(constraint.last) if constraint.last is not None else None
@@ -640,11 +645,14 @@ def search(
     nodes = 0
     over = False
     found: Arrangement | None = None
-    count = 0
+    witnesses = 0
     # two spare slots past the end hold path[0] and path[1] again once the
     # circle closes, so the windows that wrap around read straight through
     path = [0] * (n + 2)
     full_mask = (1 << n) - 1
+    # a last pin is no candidate before the last position, where it is the
+    # one element left
+    not_last = full_mask if last_idx is None else full_mask ^ (1 << last_idx)
     # the degree, cycle-cover and reachability prunes need cycles of length >= 3
     prune = circular and out_mask is not None and n >= 3
     # Without rainbow state, whether a subtree can complete depends only on
@@ -665,32 +673,6 @@ def search(
     mt = [-1] * n
     ms = [-1] * n
     log: list = []
-
-    def admit(ends):
-        """Record, for every rainbow clause, the label of each window that
-        ends at one of the given path positions and starts at one of the n
-        placed positions.  Returns the labels added, or None when one
-        repeats; nothing stays recorded then."""
-        added = []
-        for arity, labels, rows, used in trackers:
-            for e in ends:
-                s = e - arity + 1
-                if not 0 <= s < n:
-                    continue
-                if arity == 2:
-                    lab = labels[path[s]][path[e]]
-                else:
-                    lab = rows[path[e]][labels[path[s]][path[s + 1]]]
-                if lab in used:
-                    retract(added)
-                    return None
-                used.add(lab)
-                added.append((used, lab))
-        return added
-
-    def retract(added):
-        for used, lab in added:
-            used.discard(lab)
 
     def degree_prune_ok(unused, tail, affected) -> bool:
         """Circular-mode fail-fast: every still-unused vertex needs a feasible
@@ -821,7 +803,7 @@ def search(
 
     def accept() -> bool:
         """Called with a full path; returns True to stop the search."""
-        nonlocal found, count
+        nonlocal found, witnesses
         if found is None:
             arr = Arrangement(spec, shape, tuple(elems[i] for i in path[:n]))
             report = check(arr, constraint)
@@ -830,111 +812,121 @@ def search(
                     f"kernel produced an invalid witness: {report.first.message}"
                 )
             found = arr
-        count += 1
+        witnesses += 1
         return not count_witnesses
 
-    def close() -> bool:
-        """Called with a full circular path: admit the wrap edge and the
-        windows that wrap around, then accept; returns True to stop the
-        search."""
+    def close(used) -> bool:
+        """Called with a full circular path and the labels in use: test the
+        wrap edge and the windows that wrap around, then accept; returns
+        True to stop the search."""
         if out_mask is not None and not (out_mask[path[n - 1]] >> path[0] & 1):
             return False
-        if not trackers:
-            return accept()
         path[n:] = path[:2]
-        wrapped = admit((n, n + 1))
-        if wrapped is None:
-            return False
-        stop = accept()
-        retract(wrapped)
-        return stop
-
-    def candidates(prev, unused):
-        if nbr_out is not None:
-            return iter([j for j in nbr_out[prev] if unused >> j & 1])
-        return compress(range(n), format(unused, width).encode().translate(_BIT_VALUES)[::-1])
+        for arity, pairs, rows in trackers:
+            for e in range(n, n + arity - 1):
+                s = e - arity + 1
+                if arity == 2:
+                    lab = pairs[path[s]][path[e]]
+                else:
+                    lab = rows[path[e]][pairs[path[s]][path[s + 1]]]
+                bit = 1 << lab
+                if used & bit:
+                    return False
+                used |= bit
+        return accept()
 
     def extend(unused) -> bool:
         """Walk every completion of the path that holds path[0], depth first
         and in candidate order; returns True to stop the search.  The walk
-        keeps an explicit stack of levels, (k, unused, candidate iterator,
-        memo key, count at entry, added labels, undo mark), so it has no
-        depth limit."""
+        keeps an explicit stack of levels, (k, unused, candidates left,
+        labels in use, memo key, witnesses at entry, undo mark), so it has
+        no depth limit.  A level's candidates are a bitmask, taken lowest
+        set bit first; cands is None while the level at k is new."""
         nonlocal nodes, over
         k = 1
         prev = path[0]
+        used = 0
         key = None
         if memo_failures:
             key = (unused, prev, path[1]) if sym_reduce else (unused, prev)
             if key in failed:
                 return False
-        cands = candidates(prev, unused)
-        count_at_entry = count
-        mark = len(log)
+        cands = None
         levels = []
         while True:
-            last_pos = k == n - 1
-            for j in cands:
-                if last_idx is not None:
-                    if last_pos != (j == last_idx):
-                        continue
-                if last_pos and sym_reduce and j < path[1]:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    over = True
-                    return True
-                path[k] = j
-                added = None
-                if trackers:
-                    added = admit((k,))
-                    if added is None:
-                        continue
-                if last_pos:
-                    if close() if circular else accept():
-                        return True
-                else:
-                    nxt = unused ^ (1 << j)
-                    # Only prev's successors lose a predecessor (prev is no
-                    # longer the tail) and only j's predecessors lose a
-                    # successor (j is no longer unused), so only their
-                    # degrees can fall below the bound.
-                    if not prune or (
-                        degree_prune_ok(nxt, j, (out_mask[prev] | in_mask[j]) & nxt)
-                        and cover_ok(prev, j, nxt | 1 << path[0])
-                        and reach_prune_ok(nxt, j)
-                    ):
-                        child = None
-                        if memo_failures:
-                            child = (nxt, j, path[1]) if sym_reduce else (nxt, j)
-                        if child is None or child not in failed:
-                            levels.append((k, unused, cands, key, count_at_entry, added, mark))
-                            k += 1
-                            prev = j
-                            unused = nxt
-                            key = child
-                            cands = candidates(prev, unused)
-                            count_at_entry = count
-                            mark = len(log)
-                            break
-                    if prune:
-                        undo(mark)
-                if added:
-                    retract(added)
-            else:
+            if cands is None:
+                cands = unused if out_mask is None else out_mask[prev] & unused
+                last_pos = k == n - 1
+                if not last_pos:
+                    cands &= not_last
+                elif sym_reduce:
+                    cands = cands >> path[1] << path[1]
+                at_entry = witnesses
+                mark = len(log)
+            if not cands:
                 # every candidate at position k is done
-                if memo_failures and count == count_at_entry:
+                if memo_failures and witnesses == at_entry:
                     if len(failed) >= _MEMO_CAP:
                         failed.clear()
                     failed.add(key)
                 if not levels:
                     return False
-                k, unused, cands, key, count_at_entry, added, mark = levels.pop()
+                k, unused, cands, used, key, at_entry, mark = levels.pop()
                 prev = path[k - 1]
+                last_pos = False
                 if prune:
                     undo(mark)
-                if added:
-                    retract(added)
+                continue
+            b = cands & -cands
+            cands ^= b
+            j = b.bit_length() - 1
+            nodes += 1
+            if nodes > budget:
+                over = True
+                return True
+            # the labels of the windows that end at k, one per clause
+            u = used
+            for arity, pairs, rows in trackers:
+                if arity == 2:
+                    lab = pairs[prev][j]
+                elif k > 1:
+                    lab = rows[j][pairs[path[k - 2]][prev]]
+                else:
+                    continue
+                bit = 1 << lab
+                if u & bit:
+                    break
+                u |= bit
+            else:
+                path[k] = j
+                if last_pos:
+                    if close(u) if circular else accept():
+                        return True
+                    continue
+                nxt = unused ^ b
+                # Only prev's successors lose a predecessor (prev is no
+                # longer the tail) and only j's predecessors lose a
+                # successor (j is no longer unused), so only their degrees
+                # can fall below the bound.
+                if not prune or (
+                    degree_prune_ok(nxt, j, (out_mask[prev] | in_mask[j]) & nxt)
+                    and cover_ok(prev, j, nxt | 1 << path[0])
+                    and reach_prune_ok(nxt, j)
+                ):
+                    child = None
+                    if memo_failures:
+                        child = (nxt, j, path[1]) if sym_reduce else (nxt, j)
+                    if child is None or child not in failed:
+                        levels.append((k, unused, cands, used, key, at_entry, mark))
+                        k += 1
+                        prev = j
+                        unused = nxt
+                        used = u
+                        key = child
+                        cands = None
+                        continue
+                if prune:
+                    undo(mark)
 
     def run() -> None:
         nonlocal nodes, over
@@ -973,9 +965,9 @@ def search(
     run()
     elapsed = int((time.perf_counter() - t0) * 1000)
     if over:
-        return SearchOutcome("budget", found, nodes, elapsed, count if count_witnesses else None)
+        return SearchOutcome("budget", found, nodes, elapsed, witnesses if count_witnesses else None)
     if found is not None:
-        return SearchOutcome("witness", found, nodes, elapsed, count if count_witnesses else None)
+        return SearchOutcome("witness", found, nodes, elapsed, witnesses if count_witnesses else None)
     return SearchOutcome("exhausted", None, nodes, elapsed, 0 if count_witnesses else None)
 
 

@@ -1,7 +1,8 @@
+import hashlib
 import random
 import re
 import tracemalloc
-from itertools import permutations, product
+from itertools import count, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from permlab.search import (
     PredicateClause,
     RainbowClause,
     Violation,
+    _columns,
     _compile_adjacency,
     _predicate_evaluator,
     _rainbow_tracker,
@@ -814,12 +816,124 @@ class TestRainbowLabels:
                         with pytest.raises(ValueError, match=re.escape(str(exc))):
                             search(ground, shape, Constraint((clause,)))
                     continue
-                _, pairs, rows, _ = _rainbow_tracker(spec, clause, elems)
+                _, pairs, rows = _rainbow_tracker(spec, clause, elems, count())
                 if kind == "triple":
                     kernel = {(a, b, c): rows[c][pairs[a][b]] for a, b, c in reference}
                 else:
                     kernel = {(a, b): pairs[a][b] for a, b in reference}
                 _assert_same_partition(kernel, reference)
+
+
+class TestRainbowClausesApart:
+    """Two rainbow clauses may give equal labels; the kernel must keep
+    them apart, since each clause only forbids repeats of its own."""
+
+    @pytest.mark.parametrize(
+        "shape, first, second",
+        [(LINEAR, "sum", "diff"), (CIRCULAR, "triple", "sum")],
+    )
+    def test_equal_labels_of_two_clauses_do_not_clash(self, shape, first, second):
+        spec = CyclicProduct((7,))
+        ground = GroundSet(spec, tuple(range(6)) if shape == LINEAR else tuple(range(7)))
+        cons = Constraint((RainbowClause(first), RainbowClause(second)))
+        expected, witnesses = brute_force_enumerate(ground, shape, cons)
+        assert witnesses is not None and expected > 0
+        assert search(ground, shape, cons, count_witnesses=True).witness_count == expected
+
+        def windows(kind, arr):
+            columns = _columns(arr, 3 if kind == "triple" else 2)
+            return rainbow_labels(spec, RainbowClause(kind), *columns)
+
+        # some witness has a label of one clause at one window and of the
+        # other clause at another, so a kernel that let them clash misses it
+        assert any(
+            a == b
+            for arr in witnesses
+            for i, a in enumerate(windows(first, arr))
+            for j, b in enumerate(windows(second, arr))
+            if i != j
+        )
+
+
+def _outcome_fence_searches() -> list:
+    """(ground, shape, constraint, budget) of every search the outcome
+    fence pins: every rainbow kind in both shapes, with and without pins;
+    moduli, groups of tuples and budgets that run out; whole trees walked
+    to the end; two triple clauses; circular predicate searches, which run
+    the prunes and the failure memo; mixed clauses; field grounds."""
+    out = []
+    line = ints(-3, 0, 1, 2, 5, 7, 8, 11)
+    for kind in ("sum", "diff", "distance", "weighted", "triple", "product"):
+        for shape in (LINEAR, CIRCULAR):
+            for first, last in ((None, None), (5, None), (None, 7), (0, 11)):
+                out.append((line, shape, rainbow(kind, first=first, last=last), 3000))
+    z12 = GroundSet(CyclicProduct((12,)), tuple(range(1, 12)))
+    z33 = GroundSet(CyclicProduct((3, 3)), _group_elements((3, 3)))
+    for kind in ("sum", "diff", "weighted", "triple"):
+        for shape in (LINEAR, CIRCULAR):
+            out.append((z12, shape, rainbow(kind, modulus=5), 4000))
+            out.append((z33, shape, rainbow(kind, first=(1, 2)), 4000))
+    out.append((GroundSet(CyclicProduct((6,)), tuple(range(6))), CIRCULAR, rainbow("diff"), 20000))
+    out.append((GroundSet(CyclicProduct((2, 4)), _group_elements((2, 4))), LINEAR,
+                rainbow("diff", first=(0, 0)), 20000))
+    out.append((GroundSet(CyclicProduct((9,)), tuple(range(9))), LINEAR,
+                rainbow("triple", first=0), 20000))
+    for m, size, shape, modulus in ((7, 5, CIRCULAR, 6), (10, 8, CIRCULAR, 8), (11, 9, LINEAR, 9)):
+        cons = Constraint((RainbowClause("triple"), RainbowClause("triple", modulus)))
+        out.append((GroundSet(CyclicProduct((m,)), tuple(range(size))), shape, cons, 20000))
+    for n in (10, 14, 16):
+        out.append((ints(*range(1, n + 1)), CIRCULAR, predicate("prime"), 20000))
+    sparse = ints(0, 1, 4, 5, 6, 10, 13, 14, 17)
+    for pred, labeler in (
+        (PredicateSpec("coprime_to", (6,)), "product_minus_one"),
+        (PredicateSpec("prime_shift", (2, 1)), "sum"),
+        (PredicateSpec("quadratic_residue_mod", (7,)), "diff"),
+    ):
+        for first, last in ((None, None), (4, None), (None, 13)):
+            cons = Constraint((PredicateClause(pred, labeler),), first=first, last=last)
+            out.append((sparse, CIRCULAR, cons, 20000))
+            out.append((sparse, LINEAR, cons, 20000))
+    mixed = Constraint((RainbowClause("diff"), PredicateClause(PredicateSpec("prime"), "sum")))
+    out.append((ints(*range(1, 11)), CIRCULAR, mixed, 20000))
+    for q, kind in ((13, "quadratic_nonresidue_mod"), (9, "primitive_root_mod")):
+        ground = GroundSet(field_spec_for(q), tuple(range(1, q)))
+        pred = PredicateSpec(kind, (q,))
+        out.append((ground, CIRCULAR, Constraint((PredicateClause(pred, "diff"),)), 20000))
+        cons = Constraint((RainbowClause("sum"), PredicateClause(pred, "sum")))
+        out.append((ground, LINEAR, cons, 20000))
+    return out
+
+
+def _counted_fence_searches() -> list:
+    """(ground, shape, constraint) of the fence's full walks."""
+    return [
+        (GroundSet(CyclicProduct((7,)), tuple(range(7))), CIRCULAR, rainbow("triple")),
+        (ints(*range(1, 11)), CIRCULAR, predicate("prime")),
+        (ints(0, 1, 3, 4, 8, 9), LINEAR,
+         Constraint((RainbowClause("sum"), RainbowClause("diff", 7)), first=1)),
+    ]
+
+
+def _outcome_digest() -> str:
+    h = hashlib.sha256()
+    for ground, shape, cons, budget in _outcome_fence_searches():
+        out = search(ground, shape, cons, budget)
+        wit = out.witness.elements if out.witness is not None else None
+        h.update(repr((out.status, out.nodes, wit)).encode())
+    for ground, shape, cons in _counted_fence_searches():
+        out = search(ground, shape, cons, count_witnesses=True)
+        wit = out.witness.elements if out.witness is not None else None
+        h.update(repr((out.status, out.nodes, wit, out.witness_count)).encode())
+    return h.hexdigest()
+
+
+class TestKernelOutcomeFence:
+    """Statuses, node counts and first witnesses are artifacts of the
+    tool (see the search module's determinism contract).  A change to the
+    kernel that moves any of them must say why and update this digest."""
+
+    def test_outcomes_are_pinned(self):
+        assert _outcome_digest() == "35732f9abf60e5cc41b61742c103ca91df1829fe8e9a7c6ef22d5abfb307469e"
 
 
 class TestPairNumbering:
