@@ -33,12 +33,13 @@ algebra.py's whole-sequence ops.  When a search starts, the kernel calls
 them on columns that hold blocks of whole rows of ordered pairs: each
 rainbow clause gets a row of pair labels per element, and each predicate
 clause a row of truths per element, its adjacency bitmask.  Every rainbow
-label is named by a small int from one namer per search, so that no two
-clauses share a name, and the labels in use are tracked as the bits
-1 << name of one int, saved with each level of the walk and restored on
-backtrack.  A triple window (a, b, c) reads the pair sum of a and b there
-and names its label through a row of c filled as its labels are first met,
-so that row holds only the labels the search visits.  check() calls the
+label is named by a small int from one namer per search when a window
+that has it is first read, so that no two clauses share a name and the
+names count only the labels the search visits.  The labels in use are
+tracked as the bits 1 << name of one int, saved with each level of the
+walk and restored on backtrack.  Every window (a, b, c) reads its name
+as rows[c][pairs[a][b]]: for triple, pairs holds the pair sums, and for
+the pair kinds pairs[a][b] is b.  check() calls the
 same two functions on columns of the arrangement's windows; its
 distinctness and truth tests are its own.  The tests' per-window reference
 checker (one-element group ops) and perfbench/oracle.py (arithmetic of its
@@ -493,33 +494,34 @@ def _row_blocks(xs: list, ys: list):
 
 
 class _LazyRow(dict):
-    """Maps a pair sum s to the name of the triple label plus(s, z) of s
-    and one element z, filled on first use, so that it holds only the
-    labels a search visits."""
+    """Maps a key to the name of a label, filled on first read by
+    name_of(key), so that a row holds only the labels a search visits."""
 
-    __slots__ = ("plus", "z")
+    __slots__ = ("name_of",)
 
-    def __missing__(self, s):
-        v = self[s] = self.plus(s, self.z)
+    def __missing__(self, key):
+        v = self[key] = self.name_of(key)
         return v
 
 
 def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names: count) -> tuple:
-    """The kernel's state for one rainbow clause: (arity, pairs, triple
-    rows).  Every label is named by a small int drawn from names, the one
-    namer of a search's rainbow clauses, so that no two clauses share a
-    name; the kernel tracks the labels in use as the bits 1 << name of one
-    int.  Pair labels are rainbow_labels', one row per x: row i holds the
-    names of the labels of (elems[i], y) for every y in elems, the diagonal
-    included.  For triple, pairs holds pair sums (tuple sums named by small
-    ints of their own), and a window (a, b, c) has the label name
-    rows[c][pairs[a][b]]."""
+    """The kernel's state for one rainbow clause: (arity, pairs, rows),
+    such that a window (x, y, z) of indices into elems has the label name
+    rows[z][pairs[x][y]].  Every label is named by a small int drawn from
+    names, the one namer of a search's rainbow clauses, on the first read
+    of a window that has it, so that no two clauses share a name and the
+    names count only the labels a search visits; the kernel tracks the
+    labels in use as the bits 1 << name of one int.  The labels are
+    rainbow_labels', made for all pairs at once.  For triple, pairs[x][y]
+    is the pair sum of elems[x] and elems[y] (tuple sums keyed by small
+    ints of their own) and rows[z] names its sum with elems[z].  The other
+    kinds label a window (x, y, z) by (y, z) alone: pairs[x][y] is y, and
+    rows[z][y] names the label of (elems[y], elems[z])."""
     kind = clause.kind
     m = clause.modulus
     n = len(elems)
     tuples = isinstance(elems[0], tuple)
     label_name = defaultdict(names.__next__)
-    entry_of = label_name  # what a row holds for each label
     ys = elems
     pair = clause
     # x - y and x + 2y are sums of x and a column of -y or 2y made once
@@ -533,31 +535,31 @@ def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names:
         if m is not None and tuples:
             raise ValueError("modulus applies to integer labels only")
         pair = RainbowClause(RB_SUM)
-        # pair sums are keys of the triple rows, not labels: tuple sums
-        # get names of their own, int sums stay as they are
-        entry_of = defaultdict(count().__next__) if tuples else None
-    pairs = []
+    # tuple labels are keyed by small ints, int labels are their own keys
+    key_of = defaultdict(count().__next__) if tuples else None
+    keys = []
     for xs, block_ys in _row_blocks(elems, ys):
         labels = rainbow_labels(spec, pair, xs, block_ys)
-        if entry_of is not None:
-            labels = list(map(entry_of.__getitem__, labels))
-        pairs += [labels[k:k + n] for k in range(0, len(labels), n)]
+        if key_of is not None:
+            labels = list(map(key_of.__getitem__, labels))
+        keys += [labels[k:k + n] for k in range(0, len(labels), n)]
+    rows = [_LazyRow() for _ in elems]
     if kind != RB_TRIPLE:
-        return 2, pairs, None
+        for z, row in enumerate(rows):
+            row.name_of = lambda y, z=z: label_name[keys[y][z]]
+        return 2, [list(range(n))] * n, rows
     # a triple label is the sum label of the pair sum and the third element
     plus_z = RainbowClause(RB_SUM, m)
-    sums = list(entry_of) if tuples else None  # the pair sums by name
+    sums = list(key_of) if tuples else None  # the pair sums by key
 
     def plus(s, z):
         if sums is not None:
             s = sums[s]
         return label_name[rainbow_labels(spec, plus_z, [s], [z])[0]]
 
-    rows = [_LazyRow() for _ in elems]
     for row, z in zip(rows, elems):
-        row.plus = plus
-        row.z = z
-    return 3, pairs, rows
+        row.name_of = lambda s, z=z: plus(s, z)
+    return 3, keys, rows
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -626,6 +628,11 @@ def search(
         for cl in constraint.clauses
         if isinstance(cl, RainbowClause)
     ]
+    # clauses_at[e] holds the (pairs, rows) of the clauses with a window
+    # that ends at position e of the path; a circle's windows that wrap
+    # around end at n and n + 1, where path[n:] repeats path[:2]
+    clauses_at = [[(p, r) for a, p, r in trackers if a <= e + 1] for e in range(n + 2)]
+    clauses_at[n + 1] = [(p, r) for a, p, r in trackers if a == 3]
     pclauses = [c for c in constraint.clauses if isinstance(c, PredicateClause)]
     if pclauses:
         out_mask, in_mask = _compile_adjacency(spec, elems, pclauses)
@@ -822,14 +829,9 @@ def search(
         if out_mask is not None and not (out_mask[path[n - 1]] >> path[0] & 1):
             return False
         path[n:] = path[:2]
-        for arity, pairs, rows in trackers:
-            for e in range(n, n + arity - 1):
-                s = e - arity + 1
-                if arity == 2:
-                    lab = pairs[path[s]][path[e]]
-                else:
-                    lab = rows[path[e]][pairs[path[s]][path[s + 1]]]
-                bit = 1 << lab
+        for e in (n, n + 1):
+            for pairs, rows in clauses_at[e]:
+                bit = 1 << rows[path[e]][pairs[path[e - 2]][path[e - 1]]]
                 if used & bit:
                     return False
                 used |= bit
@@ -884,16 +886,12 @@ def search(
             if nodes > budget:
                 over = True
                 return True
-            # the labels of the windows that end at k, one per clause
+            # the labels of the windows that end at k, one per clause that
+            # has one there (at k = 1 only the pair kinds, which ignore x)
+            x = path[k - 2]
             u = used
-            for arity, pairs, rows in trackers:
-                if arity == 2:
-                    lab = pairs[prev][j]
-                elif k > 1:
-                    lab = rows[j][pairs[path[k - 2]][prev]]
-                else:
-                    continue
-                bit = 1 << lab
+            for pairs, rows in clauses_at[k]:
+                bit = 1 << rows[j][pairs[x][prev]]
                 if u & bit:
                     break
                 u |= bit

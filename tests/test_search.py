@@ -628,6 +628,23 @@ class TestDeepSearches:
         assert check(out.witness, cons).ok
         assert peak < 4 << 20
 
+    def test_twelve_hundred_large_ints(self):
+        # nearly all of the 1.44 million pair sums differ; only the labels
+        # the walk visits get names, so the labels in use stay a short int
+        # at each of the 1,200 levels (about 57 MB go to the pair sums)
+        rng = random.Random(1)
+        ground = GroundSet(Z, tuple(rng.sample(range(10**9), 1200)))
+        cons = Constraint((RainbowClause("sum"),))
+        tracemalloc.start()
+        try:
+            out = search(ground, LINEAR, cons)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.status == "witness"
+        assert check(out.witness, cons).ok
+        assert peak < 80 << 20
+
 
 def _reference_out_masks(spec, elems, clauses):
     """out_mask pair by pair, from predicate_labels and the predicates'
@@ -820,7 +837,11 @@ class TestRainbowLabels:
                 if kind == "triple":
                     kernel = {(a, b, c): rows[c][pairs[a][b]] for a, b, c in reference}
                 else:
-                    kernel = {(a, b): pairs[a][b] for a, b in reference}
+                    # a pair (a, b) ends the windows (x, a, b) of every x,
+                    # and they all have its label
+                    kernel = {(a, b): rows[b][pairs[a][a]] for a, b in reference}
+                    for (a, b), lab in kernel.items():
+                        assert {rows[b][pairs[x][a]] for x in range(len(elems))} == {lab}
                 _assert_same_partition(kernel, reference)
 
 

@@ -1,13 +1,14 @@
 """Run alternating A/B pairs of the benchmark and write a BENCH_*.json.
 
     python3 tools/bench_pairs.py --parent ../permlab-parent --change . \
-        --workload rainbow-groups --pairs 10 \
+        --workload rainbow-groups \
         --topic "what the change does" --out BENCH_topic.json
 
 Each side is a source checkout whose own perfbench/run.py is run from its
 root, in a new process per run, as the benchmark's command runs it.  Pair i
 runs with seed i; odd pairs run the parent first and even pairs the change
 first, so that a drift of the host's speed falls on both sides alike.
+Every workload gets PAIRS pairs, the fewest that can back a claimed gain.
 The run length and, without --workload, the workloads are those of the
 change's BENCHMARK.json.  With --traced W, one traced 10 s seed-1 run of
 workload W per side is added.
@@ -32,6 +33,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 RUN = "perfbench/run.py"
+PAIRS = 10
 
 
 def command(workload, seed, seconds, trace) -> list:
@@ -92,13 +94,10 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
     ap.add_argument("--workload", action="append", help="repeatable; default: every workload")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--traced", help="add one traced seed-1 run of this workload per side")
     ap.add_argument("--topic", required=True)
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs needs at least 2 pairs for quartiles")
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
     }
     for workload in workloads:
         runs = []
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             run = {"seed": pair, "first": pair_order(pair)[0]}
             for side in pair_order(pair):
                 run[side] = run_once(roots[side], workload, pair, seconds)
