@@ -404,12 +404,6 @@ class FieldView:
     def is_primitive(self, x: int) -> bool:
         return x != 0 and gcd(self.log_table[x], self.q - 1) == 1
 
-    def in_squares(self, x: int) -> bool:
-        return x in self.squares
-
-    def in_nonsquares(self, x: int) -> bool:
-        return x in self.nonsquares
-
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
     k = len(mod) - 1
@@ -598,22 +592,22 @@ def _ppf_power_table(spec: PrimePowerField, g: int) -> list[int]:
 
 
 def field_make(p: int, k: int = 1) -> FieldView:
-    """Field of size p**k (capacity-limited to 2**20).  For k >= 2 the
-    modulus polynomial is the lexicographically smallest monic irreducible,
-    so elements and tables are reproducible bit for bit."""
+    """The tables of the field of size p**k (capacity-limited to 2**20),
+    over field_spec_for(p**k), so elements and tables are reproducible bit
+    for bit."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be >= 1")
     if p**k > MAX_FIELD_SIZE:
         raise ValueError(f"field size {p}**{k} exceeds {MAX_FIELD_SIZE}")
-    if k == 1:
-        return field_view(PrimeField(p))
-    return field_view(PrimePowerField(p, k, _smallest_irreducible(p, k)))
+    return field_view(field_spec_for(p**k))
 
 
 def field_spec_for(q: int) -> PrimeField | PrimePowerField:
-    """The canonical GroupSpec for the field of size q."""
+    """The canonical GroupSpec for the field of size q: for q = p**k with
+    k >= 2, the modulus polynomial is the lexicographically smallest monic
+    irreducible of degree k over F_p."""
     f = factorize(q)
     if len(f.pairs) != 1:
         raise ValueError(f"{q} is not a prime power")

@@ -274,9 +274,10 @@ def is_quadratic_residue(a: int, p: int) -> bool:
 #   coprime_to (m)            gcd(k, m) == 1
 #   prime ()                  k is prime
 #
-# The three modular kinds reduce k mod q first.  Over prime-power fields the
-# search layer evaluates them against field tables instead; here q must be a
-# prime.
+# The three modular kinds reduce k mod q first; here q must be a prime.  The
+# search layer reads them off the field tables of F_q on every ground: the
+# ground's own field over F_q (q may then be a prime power), PrimeField(q)
+# over an integer or Z/m ground.
 
 PRIME_SHIFT = "prime_shift"
 TWIN_INDEX = "twin_index"
@@ -318,12 +319,6 @@ class PredicateSpec:
             raise ValueError(f"{self.kind} modulus must be >= 3")
         if self.kind == COPRIME_TO and self.params[0] < 0:
             raise ValueError("coprime_to modulus must be >= 0")
-
-    @property
-    def modulus(self) -> int:
-        if self.kind not in MODULAR_KINDS:
-            raise AttributeError(f"{self.kind} has no modulus")
-        return self.params[0]
 
     def describe(self) -> str:
         if self.kind == PRIME_SHIFT:
@@ -408,55 +403,34 @@ _PRIME_FORMS = {
 
 
 class PredicateTable:
-    """Memoized predicate truth over the label range one search will see.
+    """Memoized truth of a non-modular predicate over the label range one
+    search will see.
 
-    Modular kinds build a dense table over 0..q-1 once; the prime-valued
+    coprime_to (m) builds a dense table over 0..m-1 once; the prime-valued
     kinds sieve the range lo..hi in one pass.  Labels outside the dense
     table are evaluated by predicate_allows and cached.  Lookup follows the
-    same lenient edge semantics as predicate_allows.
+    same lenient edge semantics as predicate_allows.  The modular kinds are
+    refused: the search layer reads them off the field tables of F_q.
     """
 
     __slots__ = ("spec", "lo", "hi", "_dense", "_cache", "_mod")
 
     def __init__(self, spec: PredicateSpec, lo: int = 0, hi: int = 0):
+        if spec.kind in MODULAR_KINDS:
+            raise ValueError(f"{spec.kind} is read off field tables, not a PredicateTable")
         self.spec = spec
         self.lo = lo
         self.hi = hi
         self._cache: dict[int, bool] = {}
         self._dense: bytes | None = None
         self._mod = 0
-        kind = spec.kind
-        if kind in MODULAR_KINDS:
-            q = spec.params[0]
-            self._mod = q
-            self._dense = self._build_modular(kind, q)
-        elif kind == COPRIME_TO:
+        if spec.kind == COPRIME_TO:
             m = spec.params[0]
             if m > 1:
                 self._mod = m
                 self._dense = bytes(map((1).__eq__, map(gcd, range(m), repeat(m))))
         elif hi >= lo and hi - lo <= _DENSE_SPAN:
-            self._dense = self._build_range(kind, lo, hi)
-
-    @staticmethod
-    def _build_modular(kind: str, q: int) -> bytes:
-        if not is_prime(q) or q == 2:
-            raise ValueError(f"modular predicate modulus {q} is not an odd prime")
-        table = bytearray(q)
-        if kind == QUADRATIC_RESIDUE_MOD or kind == QUADRATIC_NONRESIDUE_MOD:
-            for r in range(1, q):
-                table[r * r % q] = 1
-            if kind == QUADRATIC_NONRESIDUE_MOD:
-                for r in range(1, q):
-                    table[r] ^= 1
-        else:
-            g = find_primitive_root(q)
-            x = 1
-            for i in range(1, q):
-                x = x * g % q
-                if gcd(i, q - 1) == 1:
-                    table[x] = 1
-        return bytes(table)
+            self._dense = self._build_range(spec.kind, lo, hi)
 
     def _build_range(self, kind: str, lo: int, hi: int) -> bytes:
         """Truth over lo..hi.  The kind holds at k when c*k + d is prime for

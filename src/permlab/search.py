@@ -69,14 +69,13 @@ from .algebra import (
     CIRCULAR,
     LINEAR,
     Arrangement,
-    CyclicProduct,
     Element,
     GroundSet,
     GroupSpec,
     Integers,
-    IntegerVectors,
     PrimeField,
     PrimePowerField,
+    _uses_tuples,
     field_view,
     group_add,
     group_add_all,
@@ -90,6 +89,7 @@ from .numtheory import (
     MODULAR_KINDS,
     PredicateSpec,
     PredicateTable,
+    is_prime,
 )
 
 __all__ = [
@@ -321,19 +321,26 @@ def _predicate_evaluator(spec: GroupSpec, pred: PredicateSpec):
     """The one place a predicate is evaluated, for check() and the kernel's
     adjacency alike.  Returns truths(rows), which maps each row of label
     values to bytes holding 1 where the label passes and 0 where it fails.
-    Modular kinds over a field ground read the field's classes (this is what
-    makes prime-power instances work); every other predicate reads a
-    PredicateTable, whose prime-valued kinds are sieved over the span of the
-    labels asked about.  Cached, so a check() after a search reuses the
-    search's table."""
-    if isinstance(spec, (PrimeField, PrimePowerField)) and pred.kind in MODULAR_KINDS:
+    Every modular kind reads the classes of F_q off _field_table: over a
+    field ground the ground's own field (this is what makes prime-power
+    instances work), over an integer or Z/m ground PrimeField(q), with the
+    labels reduced mod q, so there q must be an odd prime.  Every other
+    predicate reads a PredicateTable, whose prime-valued kinds are sieved
+    over the span of the labels asked about.  Cached, so a check() after a
+    search reuses the search's table."""
+    modular = pred.kind in MODULAR_KINDS
+    if _uses_tuples(spec) or (isinstance(spec, PrimePowerField) and not modular):
+        raise ValueError(f"predicate {pred.kind} is not defined over {spec!r}")
+    if modular and isinstance(spec, (PrimeField, PrimePowerField)):
         table = _field_table(spec, pred)
         return lambda rows: [bytes(map(table.__getitem__, row)) for row in rows]
-    if isinstance(spec, (PrimePowerField, IntegerVectors)) or (
-        isinstance(spec, CyclicProduct) and len(spec.moduli) > 1
-    ):
-        raise ValueError(f"predicate {pred.kind} is not defined over {spec!r}")
-    if pred.kind in MODULAR_KINDS or pred.kind == "coprime_to":
+    if modular:
+        q = pred.params[0]
+        if not is_prime(q):
+            raise ValueError(f"{pred.kind} modulus {q} is not an odd prime")
+        table = _field_table(PrimeField(q), pred)
+        return lambda rows: [bytes(map(table.__getitem__, map(mod, row, repeat(q)))) for row in rows]
+    if pred.kind == "coprime_to":
         table = PredicateTable(pred)
         return lambda rows: [table.truths(row) for row in rows]
 
@@ -462,10 +469,16 @@ def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
     if shape not in (LINEAR, CIRCULAR):
         raise ValueError(f"bad shape {shape!r}")
     n = len(ground)
+    x = ground.elements[:1]
     for cl in constraint.clauses:
-        if isinstance(cl, RainbowClause) and cl.kind == RB_TRIPLE:
-            if shape == CIRCULAR and 1 < n < 3:
-                raise ValueError("triple rainbow needs a circular length of 1 or >= 3")
+        if not isinstance(cl, RainbowClause):
+            continue
+        # label one window of the first element, so that a clause the ground
+        # cannot label (a modulus on tuples, distance off the integers,
+        # product on a group) is refused at every n, windows or none
+        rainbow_labels(ground.spec, cl, x, x, x)
+        if cl.kind == RB_TRIPLE and shape == CIRCULAR and 1 < n < 3:
+            raise ValueError("triple rainbow needs a circular length of 1 or >= 3")
     for pin in (constraint.first, constraint.last):
         if pin is not None:
             validate_element(ground.spec, pin)
@@ -532,8 +545,6 @@ def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names:
         ys = group_add_all(spec, elems, elems)
         pair = RainbowClause(RB_SUM, m)
     elif kind == RB_TRIPLE:
-        if m is not None and tuples:
-            raise ValueError("modulus applies to integer labels only")
         pair = RainbowClause(RB_SUM)
     # tuple labels are keyed by small ints, int labels are their own keys
     key_of = defaultdict(count().__next__) if tuples else None

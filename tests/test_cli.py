@@ -199,6 +199,11 @@ class TestSearch:
              "constraint": {"clauses": [{"rainbow": "sum"}]}},
             {"group": {"kind": "integers"}, "shape": "circular", "ground": [[1], [2], [3]],
              "constraint": {"clauses": [{"rainbow": "sum", "modulus": "3"}]}},
+            # a modular predicate over an integer or Z/m ground needs an odd prime
+            *({"group": group, "shape": "circular", "ground": [[1], [2], [4], [5]],
+               "constraint": {"clauses": [{"predicate": {"kind": "quadratic_residue_mod", "params": [9]},
+                                           "labeler": "sum"}]}}
+              for group in ({"kind": "integers"}, {"kind": "cyclic_product", "moduli": [12]})),
         ],
     )
     def test_malformed_instance_is_usage_error(self, capsys, tmp_path, doc):

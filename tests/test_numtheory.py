@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlab.numtheory import (
+    MODULAR_KINDS,
     PredicateSpec,
     PredicateTable,
     euler_phi,
@@ -225,7 +226,6 @@ class TestPredicates:
         for spec in (
             PredicateSpec("prime"),
             PredicateSpec("prime_shift", (4, 1)),
-            PredicateSpec("quadratic_nonresidue_mod", (29,)),
             PredicateSpec("coprime_to", (48,)),
             PredicateSpec("sophie_germain_index"),
         ):
@@ -247,13 +247,18 @@ class TestPredicates:
             (PredicateSpec("prime_shift", (3, -4)), -5, 40),
             (PredicateSpec("twin_index"), 0, 30),
             (PredicateSpec("coprime_to", (0,)), 0, 0),
-            (PredicateSpec("quadratic_residue_mod", (13,)), 0, 0),
         ):
             table = PredicateTable(spec, lo, hi)
             labels = list(range(lo - 20, hi + 20, 3))
             expected = bytes(predicate_allows(spec, k) for k in labels)
             assert table.truths(labels) == expected, spec
             assert table.truths(labels[5:9]) == expected[5:9], spec
+
+    @pytest.mark.parametrize("kind", MODULAR_KINDS)
+    def test_table_refuses_modular_kinds(self, kind):
+        # the modular kinds are read off the field tables of F_q
+        with pytest.raises(ValueError, match="field tables"):
+            PredicateTable(PredicateSpec(kind, (13,)))
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):

@@ -656,8 +656,8 @@ def _reference_out_masks(spec, elems, clauses):
             fv = field_view(spec)
             return {
                 "primitive_root_mod": fv.is_primitive,
-                "quadratic_residue_mod": fv.in_squares,
-                "quadratic_nonresidue_mod": fv.in_nonsquares,
+                "quadratic_residue_mod": fv.squares.__contains__,
+                "quadratic_nonresidue_mod": fv.nonsquares.__contains__,
             }[pred.kind](v)
         return predicate_allows(pred, v)
 
@@ -1024,6 +1024,35 @@ class TestValidation:
                 search(GroundSet(spec, elems), CIRCULAR, cons)
             with pytest.raises(ValueError, match="is not defined over"):
                 check(Arrangement(spec, CIRCULAR, elems), cons)
+
+    @pytest.mark.parametrize("kind", ["sum", "triple"])
+    @pytest.mark.parametrize(
+        "spec, elems",
+        [
+            (CyclicProduct((2, 4)), ((0, 2), (1, 2), (1, 3))),
+            (IntegerVectors(2), ((0, 0), (1, -1), (2, 3))),
+        ],
+    )
+    def test_modulus_over_tuple_grounds_at_every_length(self, kind, spec, elems):
+        # a linear triple clause on two elements has no window, yet both the
+        # kernel and the oracle refuse its modulus
+        for n in (1, 2, 3):
+            ground = GroundSet(spec, elems[:n])
+            cons = Constraint((RainbowClause(kind, 2),))
+            for shape in (LINEAR, CIRCULAR):
+                with pytest.raises(ValueError, match="^modulus applies to integer labels only$"):
+                    search(ground, shape, cons)
+                with pytest.raises(ValueError, match="^modulus applies to integer labels only$"):
+                    brute_force_enumerate(ground, shape, cons)
+
+    @pytest.mark.parametrize("spec", [Z, CyclicProduct((12,))])
+    def test_composite_modulus_of_a_modular_predicate(self, spec):
+        elems = (1, 2, 4, 5)
+        cons = Constraint((PredicateClause(PredicateSpec("quadratic_residue_mod", (9,)), "sum"),))
+        with pytest.raises(ValueError, match="modulus 9 is not an odd prime"):
+            search(GroundSet(spec, elems), CIRCULAR, cons)
+        with pytest.raises(ValueError, match="modulus 9 is not an odd prime"):
+            check(Arrangement(spec, CIRCULAR, elems), cons)
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
