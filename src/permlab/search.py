@@ -14,6 +14,19 @@ Budgets are measured in nodes, never wall time.  The walk is depth first
 over an explicit stack of levels, so the length of an arrangement has no
 recursion limit.
 
+Root deductions
+---------------
+Before the first node, the label-sum stage (_label_sums) reads each
+rainbow clause whose windows leave at most two labels of its finite label
+space untaken.  Distinct labels that telescope to a known total leave out
+labels of a known sum, and when no such labels exist it answers
+`exhausted` with 0 nodes and a RootCertificate.  A linear diff clause
+through every label with a first pin may force the last element: the
+kernel then walks as if the last were pinned, while check(), the symmetry
+reduction and canonical_form keep the caller's constraint.  Both are
+sound, so first witnesses and witness counts stay, and node counts fall
+only where the stage answers or forces.
+
 Pruning
 -------
 Prunes only skip subtrees that cannot complete, so they lower node counts
@@ -61,18 +74,20 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, count, permutations, repeat
+from functools import lru_cache, partial, reduce
+from itertools import chain, count, permutations, product, repeat
 from operator import add, mod, mul, sub
 
 from .algebra import (
     CIRCULAR,
     LINEAR,
     Arrangement,
+    CyclicProduct,
     Element,
     GroundSet,
     GroupSpec,
     Integers,
+    IntegerVectors,
     PrimeField,
     PrimePowerField,
     _uses_tuples,
@@ -83,6 +98,7 @@ from .algebra import (
     group_mul_all,
     group_neg,
     group_neg_all,
+    group_order,
     validate_element,
 )
 from .numtheory import (
@@ -100,6 +116,7 @@ __all__ = [
     "CheckReport",
     "Violation",
     "SearchOutcome",
+    "RootCertificate",
     "PairOutcome",
     "DEFAULT_BUDGET",
     "check",
@@ -412,6 +429,7 @@ def check(arrangement: Arrangement, constraint: Constraint) -> CheckReport:
                 continue
             columns = _columns(arrangement, 3 if triple else 2)
             if not columns[0]:
+                _label_one_window(spec, cl, elems[:1])
                 continue
             labels = rainbow_labels(spec, cl, *columns)
             if len(set(labels)) == len(labels):
@@ -453,16 +471,43 @@ def check(arrangement: Arrangement, constraint: Constraint) -> CheckReport:
 
 
 @dataclass(frozen=True)
+class RootCertificate:
+    """Why a rainbow clause has no arrangement, found by the label-sum
+    stage before the first node.  Its labels lie in a label space of
+    `labels` elements and must be distinct over `windows` windows, so
+    labels - windows of them are left out, and those must sum to
+    `left_out_sum`, which no such subset of the label space does.  It is
+    None when no sum is needed: when there are more windows than labels,
+    and for a linear diff clause with a free end through a whole group,
+    whose labels are then all of G minus 0 and sum to first - last, while
+    those of G sum to 0, so that first would be last."""
+
+    clause_index: int
+    kind: str
+    labels: int
+    windows: int
+    left_out_sum: Element | None
+
+
+@dataclass(frozen=True)
 class SearchOutcome:
     status: str  # "witness" | "exhausted" | "budget"
     witness: Arrangement | None
     nodes: int
     elapsed_ms: int
     witness_count: int | None = None  # only set when counting mode is on
+    certificate: RootCertificate | None = None  # set when the label-sum stage answers
 
     def __post_init__(self):
         if self.status == "witness":
             assert self.witness is not None
+
+
+def _label_one_window(spec: GroupSpec, clause: RainbowClause, x: tuple) -> None:
+    """Label the window of x = (the first element,) alone, so that a clause
+    the ground cannot label (a modulus on tuples, distance off the
+    integers, product on a group) is refused at every n, windows or none."""
+    rainbow_labels(spec, clause, x, x, x)
 
 
 def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
@@ -473,10 +518,7 @@ def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
     for cl in constraint.clauses:
         if not isinstance(cl, RainbowClause):
             continue
-        # label one window of the first element, so that a clause the ground
-        # cannot label (a modulus on tuples, distance off the integers,
-        # product on a group) is refused at every n, windows or none
-        rainbow_labels(ground.spec, cl, x, x, x)
+        _label_one_window(ground.spec, cl, x)
         if cl.kind == RB_TRIPLE and shape == CIRCULAR and 1 < n < 3:
             raise ValueError("triple rainbow needs a circular length of 1 or >= 3")
     for pin in (constraint.first, constraint.last):
@@ -487,6 +529,94 @@ def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
     if constraint.first is not None and constraint.last is not None:
         if constraint.first == constraint.last and n > 1:
             raise ValueError("first and last pins coincide")
+
+
+def _group_elements(spec: CyclicProduct | PrimeField | PrimePowerField) -> list:
+    """Every element of a finite group, zero first."""
+    if isinstance(spec, CyclicProduct) and len(spec.moduli) > 1:
+        return list(product(*map(range, spec.moduli)))
+    return list(range(group_order(spec)))
+
+
+def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
+    """The root stage of search(): Gordon's label-sum argument, run once per
+    rainbow clause.  Returns (certificate, last): a RootCertificate when a
+    clause has no arrangement, and the last element, pinned or forced.
+
+    A clause's w windows take distinct labels in its label space L: the
+    group itself, less 0 for diff; Z/m under a modulus on integers.  So the
+    c = |L| - w labels left out sum to sigma(L) minus the sum of all labels,
+    which telescopes: to 0 for a circular diff, 2 sigma(S) for a circular
+    sum and 3 sigma(S) for a circular weighted or triple clause, where S is
+    the ground, and to first - last for a linear diff.  c is read off the
+    group order, and a clause with c > 2 is skipped before anything is
+    summed, as are distance and product clauses and unbounded labels.  A
+    linear diff clause through a whole group (c = 0) needs first - last =
+    sigma(L), so none exists when sigma(L) = 0, and with first pinned the
+    last is forced, for the kernel alone."""
+    spec = ground.spec
+    n = len(ground)
+    first, last = constraint.first, constraint.last
+    if n < 2:
+        return None, last
+    for ci, cl in enumerate(constraint.clauses):
+        if not isinstance(cl, RainbowClause) or cl.kind in (RB_DISTANCE, RB_PRODUCT):
+            continue
+        diff = cl.kind == RB_DIFF
+        if cl.modulus is not None and isinstance(spec, Integers):
+            space = CyclicProduct((cl.modulus,))
+            size = cl.modulus
+        elif cl.modulus is None and not isinstance(spec, (Integers, IntegerVectors)):
+            space = spec
+            size = group_order(spec) - diff
+        else:
+            continue
+        if shape == CIRCULAR:
+            windows = n
+        else:
+            windows = n - 2 if cl.kind == RB_TRIPLE else n - 1
+        c = size - windows
+        if c > 2:
+            continue
+        if c < 0:
+            return RootCertificate(ci, cl.kind, size, windows, None), None
+        if shape == LINEAR and not diff:
+            continue  # the sum of a path's labels depends on its order
+        labels = _group_elements(space)
+        zero = labels[0]
+        if diff and cl.modulus is None:
+            labels = labels[1:]
+        sigma = reduce(partial(group_add, space), labels)
+        if shape == CIRCULAR:
+            s = reduce(partial(group_add, spec), ground.elements)
+            if cl.modulus is not None:
+                s %= cl.modulus
+            copies = {RB_DIFF: 0, RB_SUM: 2}.get(cl.kind, 3)
+            total = reduce(partial(group_add, space), [s] * copies, zero)
+        elif first is not None and last is not None:
+            total = rainbow_labels(spec, cl, [first], [last])[0]
+        elif c == 0 and cl.modulus is None:
+            # the labels are all of L, so first - last = sigma(L); the ground
+            # is the whole group, so with first pinned that last is in it
+            if sigma == zero:
+                return RootCertificate(ci, cl.kind, size, windows, None), None
+            if first is not None:
+                last = group_add(spec, first, group_neg(spec, sigma))
+            continue
+        else:
+            continue  # the sum of the labels depends on a free end
+        left_out = group_add(space, sigma, group_neg(space, total))
+        if c == 0:
+            found = left_out == zero
+        elif c == 1:
+            found = left_out in labels
+        else:
+            rests = group_add_all(space, [left_out] * len(labels), group_neg_all(space, labels))
+            members = set(labels)
+            found = any(y != x and y in members for x, y in zip(labels, rests))
+        if not found:
+            return RootCertificate(ci, cl.kind, size, windows, left_out), None
+    return None, last
 
 
 # pairs per label call when the kernel labels whole rows of pairs: enough
@@ -559,14 +689,14 @@ def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names:
         for z, row in enumerate(rows):
             row.name_of = lambda y, z=z: label_name[keys[y][z]]
         return 2, [list(range(n))] * n, rows
-    # a triple label is the sum label of the pair sum and the third element
-    plus_z = RainbowClause(RB_SUM, m)
+    # a triple label is the pair sum plus the third element, reduced mod m
     sums = list(key_of) if tuples else None  # the pair sums by key
 
     def plus(s, z):
         if sums is not None:
             s = sums[s]
-        return label_name[rainbow_labels(spec, plus_z, [s], [z])[0]]
+        label = group_add(spec, s, z)
+        return label_name[label if m is None else label % m]
 
     for row, z in zip(rows, elems):
         row.name_of = lambda s, z=z: plus(s, z)
@@ -625,6 +755,10 @@ def search(
         raise ValueError("budget must be >= 1 node")
     _validate_instance(ground, shape, constraint)
     t0 = time.perf_counter()
+    certificate, last = _label_sums(ground, shape, constraint)
+    if certificate is not None:
+        elapsed = int((time.perf_counter() - t0) * 1000)
+        return SearchOutcome("exhausted", None, 0, elapsed, 0 if count_witnesses else None, certificate)
     spec = ground.spec
     elems = sorted(ground.elements)
     n = len(elems)
@@ -651,7 +785,9 @@ def search(
         out_mask = in_mask = None
 
     first_idx = elems.index(constraint.first) if constraint.first is not None else None
-    last_idx = elems.index(constraint.last) if constraint.last is not None else None
+    # a last forced by the label-sum stage is pinned here alone: check(),
+    # the symmetry reduction and canonical_form see the caller's constraint
+    last_idx = elems.index(last) if last is not None else None
 
     sym_reduce = (
         circular
