@@ -87,7 +87,6 @@ from .algebra import (
     GroundSet,
     GroupSpec,
     Integers,
-    IntegerVectors,
     PrimeField,
     PrimePowerField,
     _uses_tuples,
@@ -566,7 +565,7 @@ def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
         if cl.modulus is not None and isinstance(spec, Integers):
             space = CyclicProduct((cl.modulus,))
             size = cl.modulus
-        elif cl.modulus is None and not isinstance(spec, (Integers, IntegerVectors)):
+        elif cl.modulus is None and isinstance(spec, (CyclicProduct, PrimeField, PrimePowerField)):
             space = spec
             size = group_order(spec) - diff
         else:
