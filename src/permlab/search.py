@@ -33,11 +33,21 @@ Prunes only skip subtrees that cannot complete, so they lower node counts
 and never change a first witness or a witness count.  Searches with
 predicate clauses and no rainbow clause remember the (unused set, tail)
 subproblems that failed.  Circular predicate searches on three or more
-elements also test, after each placement and in this order: a degree bound
-on every vertex whose partners changed; a cycle cover, a perfect matching of
-{tail} + unused onto unused + {start} kept across the walk and repaired at
-each node (the rest of a circle is one); and reachability from the tail and
-back to the start.
+elements also test, after each placement and in this order: a degree bound,
+that every unused vertex keeps a predecessor in unused + {tail} and a
+successor in unused + {start} that are two distinct vertices; a cycle
+cover, a perfect matching of {tail} + unused onto unused + {start} kept
+across the walk and repaired at each node (the rest of a circle is one);
+and reachability from the tail and back to the start.
+
+The degree bound keeps two watched partners per vertex, as SAT solvers
+watch literals: a predecessor and a successor that meet the bound.
+Placing prev -> j takes prev out of the predecessors and j out of the
+successors, so only the vertices that watch prev or j look for new
+partners.  Both sets only shrink going down, so a watch stays valid on
+backtrack and nothing is undone.  Watches go to the highest partners: the
+walk places the lowest candidates first, so low watches would be the ones
+it takes away next.
 
 Label arithmetic
 ----------------
@@ -332,6 +342,22 @@ def _field_table(spec: PrimeField | PrimePowerField, pred: PredicateSpec) -> byt
     return bytes(table)
 
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _square_class_table(q: int, kind: str) -> bytes:
+    """_field_table(PrimeField(q), pred) for the two square classes of a
+    prime q, read straight off x * x % q: no exp and log tables, so the
+    cost is one byte per residue."""
+    table = bytearray(q)
+    for x in range(1, q // 2 + 1):
+        table[x * x % q] = 1
+    if kind == "quadratic_nonresidue_mod":
+        table = table.translate(_FLIP)
+        table[0] = 0
+    return bytes(table)
+
+
 @lru_cache(maxsize=64)
 def _predicate_evaluator(spec: GroupSpec, pred: PredicateSpec):
     """The one place a predicate is evaluated, for check() and the kernel's
@@ -339,8 +365,10 @@ def _predicate_evaluator(spec: GroupSpec, pred: PredicateSpec):
     values to bytes holding 1 where the label passes and 0 where it fails.
     Every modular kind reads the classes of F_q off _field_table: over a
     field ground the ground's own field (this is what makes prime-power
-    instances work), over an integer or Z/m ground PrimeField(q), with the
-    labels reduced mod q, so there q must be an odd prime.  Every other
+    instances work), over an integer or Z/m ground those of PrimeField(q),
+    with the labels reduced mod q, so there q must be an odd prime; the
+    square classes of a prime are built without the field's tables
+    (_square_class_table), as a large q would make them costly.  Every other
     predicate reads a PredicateTable, whose prime-valued kinds are sieved
     over the span of the labels asked about.  Cached, so a check() after a
     search reuses the search's table."""
@@ -354,7 +382,10 @@ def _predicate_evaluator(spec: GroupSpec, pred: PredicateSpec):
         q = pred.params[0]
         if not is_prime(q):
             raise ValueError(f"{pred.kind} modulus {q} is not an odd prime")
-        table = _field_table(PrimeField(q), pred)
+        if pred.kind == "primitive_root_mod":
+            table = _field_table(PrimeField(q), pred)
+        else:
+            table = _square_class_table(q, pred.kind)
         return lambda rows: [bytes(map(table.__getitem__, map(mod, row, repeat(q)))) for row in rows]
     if pred.kind == "coprime_to":
         table = PredicateTable(pred)
@@ -826,27 +857,52 @@ def search(
     mt = [-1] * n
     ms = [-1] * n
     log: list = []
+    # The degree prune's watches (see the module docstring): every unused u
+    # watches a predecessor wp[u] in unused + {tail} and a successor ws[u]
+    # in unused + {start}, with wp[u] != ws[u]; watch_p[v] and watch_s[v]
+    # are the bitmasks of the vertices that watch v.  Every vertex starts
+    # out watching vertex 0 both ways, until run() re-watches it.
+    if prune:
+        wp = [0] * n
+        ws = [0] * n
+        watch_p = [full_mask] + [0] * (n - 1)
+        watch_s = watch_p[:]
 
-    def degree_prune_ok(unused, tail, affected) -> bool:
+    def degree_prune_ok(unused, tail, broken) -> bool:
         """Circular-mode fail-fast: every still-unused vertex needs a feasible
         predecessor among unused + the current tail and a feasible successor
-        among unused + the start, and at least two distinct partners."""
-        tail_bit = 1 << tail
-        start_bit = 1 << path[0]
-        m = affected
+        among unused + the start, and at least two distinct partners; that
+        is, a watch pair.  Re-watches the vertices in broken, taking the
+        highest partners, and is False when one of them has no pair left.
+        The others keep the watches they had, which are still valid."""
+        pred_set = unused | 1 << tail
+        succ_set = unused | 1 << path[0]
+        m = broken
         while m:
             u_bit = m & -m
             m ^= u_bit
             u = u_bit.bit_length() - 1
-            rest = unused ^ u_bit
-            preds = in_mask[u] & (rest | tail_bit)
-            if not preds:
+            preds = in_mask[u] & pred_set
+            succs = out_mask[u] & succ_set
+            if not preds or not succs:
                 return False
-            succs = out_mask[u] & (rest | start_bit)
-            if not succs:
-                return False
-            if (preds | succs).bit_count() < 2:
-                return False
+            p = preds.bit_length() - 1
+            s = succs.bit_length() - 1
+            if p == s:
+                if succs ^ 1 << s:
+                    s = (succs ^ 1 << s).bit_length() - 1
+                elif preds ^ 1 << p:
+                    p = (preds ^ 1 << p).bit_length() - 1
+                else:
+                    return False
+            if wp[u] != p:
+                watch_p[wp[u]] ^= u_bit
+                watch_p[p] |= u_bit
+                wp[u] = p
+            if ws[u] != s:
+                watch_s[ws[u]] ^= u_bit
+                watch_s[s] |= u_bit
+                ws[u] = s
         return True
 
     def augment(a, targets, free) -> int:
@@ -1048,12 +1104,11 @@ def search(
                         return True
                     continue
                 nxt = unused ^ b
-                # Only prev's successors lose a predecessor (prev is no
-                # longer the tail) and only j's predecessors lose a
-                # successor (j is no longer unused), so only their degrees
-                # can fall below the bound.
+                # prev leaves the predecessors (it is no longer the tail)
+                # and j the successors (it is no longer unused), so only
+                # the vertices that watch prev or j need new watches.
                 if not prune or (
-                    degree_prune_ok(nxt, j, (out_mask[prev] | in_mask[j]) & nxt)
+                    degree_prune_ok(nxt, j, (watch_p[prev] | watch_s[j]) & nxt)
                     and cover_ok(prev, j, nxt | 1 << path[0])
                     and reach_prune_ok(nxt, j)
                 ):
@@ -1132,15 +1187,18 @@ def brute_force_enumerate(
     elems = sorted(ground.elements)
     seen: set[tuple] = set()
     witnesses: list[Arrangement] = []
-    if shape == CIRCULAR and n >= 2 and constraint.last is None:
-        # quotient rotation upfront: fix the pinned first element, or the
-        # minimum when unpinned (a last-only pin is positional, so every
-        # rotation must then be kept)
-        head = constraint.first if constraint.first is not None else elems[0]
-        rest = [x for x in elems if x != head]
-        cands = ([head] + list(t) for t in permutations(rest))
-    else:
-        cands = (list(p) for p in permutations(elems))
+    # Pins are positional, so a pinned end is fixed and only the rest is
+    # permuted, in the order the full walk meets them.  An unpinned circle
+    # also quotients rotation upfront by fixing its minimum at the head (a
+    # last-only pin keeps every rotation).
+    first, last = constraint.first, constraint.last
+    head = [first] if first is not None else []
+    if shape == CIRCULAR and first is None and last is None:
+        head = elems[:1]
+    # the pins coincide only on a single element, which is then both ends
+    tail = [last] if last is not None and last != first else []
+    rest = [x for x in elems if x not in head and x not in tail]
+    cands = (head + list(t) + tail for t in permutations(rest))
     for seq in cands:
         arr = Arrangement(spec, shape, tuple(seq))
         if not check(arr, constraint).ok:

@@ -35,15 +35,26 @@ def _runs(parent, change):
 def test_median_quartiles_and_wins():
     parent = [2.0, 1.6, 1.8, 2.4, 1.9]
     change = [1.4, 1.7, 1.2, 1.5, 1.9]
-    block = bench_pairs.summarize(_runs(parent, change))
+    better = {"run_s": "lower", "definite_answers": "higher"}
+    block = bench_pairs.summarize(_runs(parent, change), better)
     assert block["pairs"] == 5
     assert block["median"]["parent"]["run_s"] == 1.9
     assert block["median"]["change"]["run_s"] == 1.5
     # exclusive quartiles of 1.6, 1.8, 1.9, 2.0, 2.4
     assert block["quartiles"]["parent"]["run_s"] == pytest.approx([1.7, 1.9, 2.2])
-    # pair 2 read higher and pair 5 the same: neither counts as lower
-    assert block["change_lower_in_pairs"] == {"run_s": 3, "definite_answers": 0}
+    # pair 2 read higher and pair 5 the same: neither counts as better
+    assert block["change_better_in_pairs"] == {"run_s": 3, "definite_answers": 0}
     assert [r["seed"] for r in block["runs"]] == [1, 2, 3, 4, 5]
+
+
+def test_wins_follow_each_metric_direction():
+    # more answers is better: the change wins where it reads higher
+    runs = _runs([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    for run, (p, c) in zip(runs, [(7, 9), (7, 5), (7, 8)]):
+        run["parent"]["metrics"]["definite_answers"]["value"] = p
+        run["change"]["metrics"]["definite_answers"]["value"] = c
+    block = bench_pairs.summarize(runs, {"run_s": "lower", "definite_answers": "higher"})
+    assert block["change_better_in_pairs"] == {"run_s": 0, "definite_answers": 2}
 
 
 def test_odd_pairs_run_the_parent_first():

@@ -25,7 +25,7 @@ from permlab.algebra import (
     group_mul,
     group_sub,
 )
-from permlab.numtheory import MODULAR_KINDS, PredicateSpec, predicate_allows
+from permlab.numtheory import MODULAR_KINDS, PredicateSpec, is_prime, predicate_allows
 from permlab.search import (
     CheckReport,
     Constraint,
@@ -34,8 +34,10 @@ from permlab.search import (
     Violation,
     _columns,
     _compile_adjacency,
+    _field_table,
     _predicate_evaluator,
     _rainbow_tracker,
+    _square_class_table,
     brute_force_enumerate,
     canonical_form,
     check,
@@ -255,6 +257,43 @@ class TestCanonicalForm:
     def test_brute_force_capacity(self):
         with pytest.raises(ValueError):
             brute_force_enumerate(ints(*range(10)), LINEAR, rainbow("sum"))
+
+
+def _full_walk(ground, shape, cons):
+    """The oracle's definition, literally: check every order of the
+    ground, then keep the first of each canonical form."""
+    seen, witnesses = set(), []
+    for seq in permutations(sorted(ground.elements)):
+        arr = Arrangement(ground.spec, shape, seq)
+        canon = canonical_form(arr, cons).elements
+        if check(arr, cons).ok and canon not in seen:
+            seen.add(canon)
+            witnesses.append(Arrangement(ground.spec, shape, canon))
+    return len(witnesses), witnesses
+
+
+class TestBruteForcePins:
+    """The oracle fixes pinned ends and permutes the rest; it must count and
+    list what the walk over every order does, under every pin pair."""
+
+    @pytest.mark.parametrize("shape", [LINEAR, CIRCULAR])
+    @pytest.mark.parametrize("ground_of, kind", [
+        (lambda n: GroundSet(CyclicProduct((7,)), tuple(range(n))), "diff"),
+        (lambda n: ints(*(0, 1, 3, 4, 8, 9)[:n]), "sum"),
+    ], ids=["Z7-diff", "Z-sum"])
+    def test_every_pin_pair(self, shape, ground_of, kind):
+        found = 0
+        for n in range(1, 7):
+            ground = ground_of(n)
+            pins = (None, *ground.elements)
+            for first, last in product(pins, pins):
+                if first is not None and first == last and n > 1:
+                    continue  # refused as an instance
+                cons = rainbow(kind, first=first, last=last)
+                expected = _full_walk(ground, shape, cons)
+                assert brute_force_enumerate(ground, shape, cons) == expected, (n, first, last)
+                found += expected[0]
+        assert found > 100
 
 
 class TestOracleAgreement:
@@ -738,6 +777,28 @@ class TestAdjacencyCompile:
                     pred = PredicateSpec(kind, (q,))
                     _assert_masks_match(spec, ground, [_clause(pred, labeler, a0)])
 
+    def test_square_classes_without_the_field(self):
+        # the integer grounds' square classes equal the field's
+        for q in filter(is_prime, range(3, 1100)):
+            for kind in ("quadratic_residue_mod", "quadratic_nonresidue_mod"):
+                field = _field_table(PrimeField(q), PredicateSpec(kind, (q,)))
+                assert _square_class_table(q, kind) == field, (q, kind)
+
+    def test_large_modulus_over_integers(self):
+        # one byte per residue of q = 1,000,003: the field's exp and log
+        # tables would take over 100 MB
+        q = 1000003
+        cons = predicate("quadratic_residue_mod", (q,))
+        tracemalloc.start()
+        try:
+            out = search(ints(*range(1, 11)), CIRCULAR, cons)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.status == "witness"
+        assert check(out.witness, cons).ok
+        assert peak < 16 << 20
+
     def test_prime_field_integer_predicates(self):
         spec = PrimeField(13)
         for pred in _INTEGER_PREDICATES:
@@ -955,6 +1016,31 @@ class TestKernelOutcomeFence:
 
     def test_outcomes_are_pinned(self):
         assert _outcome_digest() == "af625c79cac4a3b497dd1c4da57b56c7bd4f71bc565d695e236fc1152957ae7d"
+
+
+# dense circular predicate searches of the catalog's field statements: most
+# are found in about n nodes, so the per-node prunes are their whole cost
+_DENSE_FENCE = [
+    ("3.7i", {"q": 49}), ("3.7i", {"q": 81}), ("3.7i", {"q": 125}),
+    ("3.8-sums", {"p": 137}), ("3.9ii-sums", {"p": 139}),
+    ("3.10", {"q": 31, "a0": 23}), ("3.10", {"q": 31, "a0": 25}), ("3.10", {"q": 31, "a0": 0}),
+]
+
+
+class TestDenseOutcomeFence:
+    """The fence above for dense graphs, where the degree prune does most
+    of the work of a node: statuses, node counts and first witnesses."""
+
+    def test_outcomes_are_pinned(self):
+        from permlab.conjectures import instance
+
+        h = hashlib.sha256()
+        for cid, params in _DENSE_FENCE:
+            inst = instance(cid, params)
+            out = search(inst.ground, inst.shape, inst.constraint, 20000)
+            wit = out.witness.elements if out.witness is not None else None
+            h.update(repr((out.status, out.nodes, wit)).encode())
+        assert h.hexdigest() == "26f7a2b70de6d90de36353547e9affd729ca10d1f8e1a3a818731222a2f69a33"
 
 
 class TestPairNumbering:

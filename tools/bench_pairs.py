@@ -15,7 +15,8 @@ workload W per side is added.
 
 The output holds topic, command, host and method, and per workload the
 number of pairs, the median and quartiles of every metric on each side,
-in how many pairs the change read lower, and every run.  This script
+in how many pairs the change read better (in the metric's `better`
+direction in the change's BENCHMARK.json), and every run.  This script
 imports nothing from permlab and writes nothing in the checkouts but what
 run.py itself writes (.perfbench_out/).
 """
@@ -57,11 +58,12 @@ def pair_order(pair: int) -> tuple:
     return SIDES if pair % 2 else SIDES[::-1]
 
 
-def summarize(runs: list) -> dict:
+def summarize(runs: list, better: dict) -> dict:
     """The per-workload block of a BENCH file from its runs, each
     {"seed", "first", "parent": result, "change": result}: per side the
     median and the quartiles (statistics.quantiles, n = 4) of every metric,
-    and per metric the number of pairs where the change read lower."""
+    and per metric the number of pairs where the change read better in its
+    direction, better[name] ("lower" or "higher")."""
     names = list(runs[0]["parent"]["metrics"])
 
     def values(side, name):
@@ -71,15 +73,16 @@ def summarize(runs: list) -> dict:
     for side in SIDES:
         median[side] = {name: statistics.median(values(side, name)) for name in names}
         quartiles[side] = {name: statistics.quantiles(values(side, name), n=4) for name in names}
-    lower = {
-        name: sum(c < p for p, c in zip(values("parent", name), values("change", name)))
+    wins = {
+        name: sum(c < p if better[name] == "lower" else c > p
+                  for p, c in zip(values("parent", name), values("change", name)))
         for name in names
     }
     return {
         "pairs": len(runs),
         "median": median,
         "quartiles": quartiles,
-        "change_lower_in_pairs": lower,
+        "change_better_in_pairs": wins,
         "runs": runs,
     }
 
@@ -102,6 +105,7 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     out = {
         "topic": args.topic,
@@ -121,7 +125,7 @@ def main(argv=None) -> int:
             print(f"{workload} pair {pair}: run_s "
                   + " -> ".join(f"{run[s]['metrics']['run_s']['value']:.3f}" for s in SIDES),
                   file=sys.stderr)
-        out["workloads"][workload] = summarize(runs)
+        out["workloads"][workload] = summarize(runs, better)
     if args.traced:
         out["traced"] = {"command": "python3 " + " ".join(command(args.traced, 1, 10, 1))}
         for side in SIDES:
