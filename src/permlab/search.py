@@ -763,6 +763,8 @@ def _compile_adjacency(spec, elems, pclauses):
                 for o in range(k, k + per_pair):
                     out_mask[i] &= int(bits[o:k + width:per_pair].translate(_BIT_CHARS)[::-1], 2)
                 i += 1
+    if all(cl.symmetric for cl in pclauses):
+        return out_mask, out_mask  # x -> y and y -> x share their labels
     # transpose: in_mask[j] bit i is out_mask[i] bit j
     bits = [format(m, f"0{n}b") for m in out_mask]
     in_mask = [int("".join(col)[::-1], 2) for col in zip(*bits)][::-1]
