@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd, isqrt
 from operator import add, floordiv, itemgetter, mod, mul, neg, xor
 
@@ -53,6 +53,7 @@ __all__ = [
     "group_mul_all",
     "group_cmp",
     "group_order",
+    "group_elements",
     "invariant_factors",
     "sylow2_cyclic",
     "validate_element",
@@ -159,6 +160,13 @@ def group_order(spec: GroupSpec) -> int:
     if isinstance(spec, PrimePowerField):
         return spec.q
     raise ValueError("infinite group")
+
+
+def group_elements(spec: CyclicProduct | PrimeField | PrimePowerField) -> list:
+    """Every element of a finite group in lexicographic order, zero first."""
+    if isinstance(spec, CyclicProduct) and len(spec.moduli) > 1:
+        return list(product(*map(range, spec.moduli)))
+    return list(range(group_order(spec)))
 
 
 def validate_element(spec: GroupSpec, x: Element) -> None:

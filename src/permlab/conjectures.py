@@ -13,7 +13,7 @@ all cycles are circular arrangements):
   3.4i/3.4ii cycle over a finite abelian group with distinct sums (i) or
              differences (ii); hypothesis n odd or n not dividing |G|
   3.5i       cycle with x + 2y labels distinct, |G| not divisible by 3
-  3.5ii      two numberings a, b of one set with a_i + 2 b_i distinct
+  3.5ii      numberings a (sorted), b of one set with a_i + 2 b_i distinct
   3.6        cycle with consecutive triple sums distinct
   3.7i       cycle of all of F_q, adjacent sums primitive elements (q > 7)
   3.7ii      cycle of 1..(p-1)/2 with sums (p > 19) or differences (p > 13)
@@ -72,6 +72,7 @@ from .algebra import (
     element_from_coords,
     field_spec_for,
     field_view,
+    group_elements,
     sylow2_cyclic,
 )
 from .constructions import qr_cycle
@@ -228,30 +229,18 @@ _EXHAUSTIVE_GROUP_ORDER = 8  # all subsets and all designated firsts up to here
 _GROUP_SEEDS = (0, 1, 2)
 
 
-def _group_elements(moduli: tuple[int, ...]) -> list:
-    if len(moduli) == 1:
-        return list(range(moduli[0]))
-    out = [()]
-    for m in moduli:
-        out = [t + (r,) for t in out for r in range(m)]
-    return sorted(out)
-
-
-def _group_ground(moduli: tuple[int, ...], elements) -> GroundSet:
-    return GroundSet(CyclicProduct(moduli), tuple(sorted(elements)))
-
-
 def _resolve_group_subset(params: dict) -> tuple[tuple[int, ...], GroundSet]:
     """(moduli, ground) from an {m, g, n, subset|seed} param map."""
     groups = _GROUPS_BY_ORDER[params["m"]]
     moduli = groups[_check_index("g", params.get("g", 0), len(groups))]
-    pool = _group_elements(moduli)
+    spec = CyclicProduct(moduli)
+    pool = group_elements(spec)
     n = params["n"]
     if "subset" in params:
         subset = _nth_subset(pool, n, params["subset"])
     else:
         subset = _seeded_subset(params["seed"], pool, n)
-    return moduli, _group_ground(moduli, subset)
+    return moduli, GroundSet(spec, subset)  # in pool order, so sorted
 
 
 def _circle(ground: GroundSet, *clauses, ok: bool = True, note: str = "",
@@ -291,9 +280,9 @@ def _build_32(params: dict) -> Instance:
 def _build_33(params: dict) -> Instance:
     if params.get("fixture") == 1:
         # full Klein four-group, unpinned: differences always collide
-        moduli = (2, 2)
+        klein = CyclicProduct((2, 2))
         return Instance(
-            _group_ground(moduli, _group_elements(moduli)),
+            GroundSet(klein, group_elements(klein)),
             LINEAR,
             Constraint((RainbowClause("diff"),)),
             note="full Klein four-group",
@@ -593,7 +582,7 @@ _REGISTRY: dict[str, _Family] = {
         "x + 2y rainbow cycle over groups of order coprime to 3"),
     "3.5ii": _Family(
         lambda p: replace(_group_cycle(p, "weighted"), mode="pair"),
-        lambda lo, hi, seed: (p for p in _group_sweep(4, False)(lo, hi, seed) if p["n"] <= 6),
+        _group_sweep(4, False),
         lambda: _group_oracle([(5, 4), (6, 4), (7, 5)], False, cap=6),
         "paired numberings with a_i + 2 b_i distinct"),
     "3.6": _Family(
@@ -776,17 +765,16 @@ def _run_search(cid: str, params: dict, inst: Instance, budget: int,
 
 
 def _run_pair(cid: str, params: dict, inst: Instance, budget: int) -> VerificationRecord:
-    po = search_pair_numbering(inst.ground, budget)
-    if po.status != "witness":
-        return VerificationRecord(cid, params, po.status, None, po.nodes, po.elapsed_ms)
+    out = search_pair_numbering(inst.ground, budget)
+    if out.status != "witness":
+        return VerificationRecord(cid, params, out.status, None, out.nodes, out.elapsed_ms)
     spec = inst.ground.spec
-    if not check_pair_numbering(spec, po.a, po.b):
-        raise RuntimeError(
-            f"search_pair_numbering produced an invalid numbering: a = {po.a}, b = {po.b}"
-        )
+    a, b = tuple(sorted(inst.ground.elements)), out.witness.elements
+    if not check_pair_numbering(spec, a, b):
+        raise RuntimeError(f"search_pair_numbering produced an invalid numbering: a = {a}, b = {b}")
     return VerificationRecord(
-        cid, params, "witness", _witness_coords(spec, po.a + po.b), po.nodes,
-        po.elapsed_ms, note="witness holds both numberings, a then b",
+        cid, params, "witness", _witness_coords(spec, a + b), out.nodes,
+        out.elapsed_ms, note="witness holds both numberings, a then b",
     )
 
 

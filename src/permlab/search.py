@@ -12,7 +12,8 @@ reservations, orientation canonicalization) and is tested against the
 incremental constraint state; one whose label repeats is still a node.
 Budgets are measured in nodes, never wall time.  The walk is depth first
 over an explicit stack of levels, so the length of an arrangement has no
-recursion limit.
+recursion limit.  search_pair_numbering walks the positions of a numbering
+the same way, and its node is one label try: an element tried at a position.
 
 Root deductions
 ---------------
@@ -85,7 +86,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import chain, count, permutations, product, repeat
+from itertools import chain, count, permutations, repeat
 from operator import add, mod, mul, sub
 
 from .algebra import (
@@ -103,7 +104,7 @@ from .algebra import (
     field_view,
     group_add,
     group_add_all,
-    group_double,
+    group_elements,
     group_mul_all,
     group_neg,
     group_neg_all,
@@ -126,7 +127,6 @@ __all__ = [
     "Violation",
     "SearchOutcome",
     "RootCertificate",
-    "PairOutcome",
     "DEFAULT_BUDGET",
     "check",
     "search",
@@ -138,7 +138,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_MAX = 9
-PAIR_NUMBERING_MAX = 6
 # failed-subproblem memo entries kept before a deterministic reset
 _MEMO_CAP = 1 << 20
 
@@ -358,6 +357,17 @@ def _square_class_table(q: int, kind: str) -> bytes:
     return bytes(table)
 
 
+def _table_truths(table: bytes, q: int | None):
+    """truths(rows) of a modular predicate: the byte in table of each label,
+    reduced mod q first when q is given.  With at most 256 entries a row is
+    bytes, read in one bytes.translate; else a label at a time."""
+    reduced = (lambda row: row) if q is None else (lambda row: map(mod, row, repeat(q)))
+    if len(table) > 256:
+        return lambda rows: [bytes(map(table.__getitem__, reduced(row))) for row in rows]
+    padded = table.ljust(256, b"\0")
+    return lambda rows: [bytes(reduced(row)).translate(padded) for row in rows]
+
+
 @lru_cache(maxsize=64)
 def _predicate_evaluator(spec: GroupSpec, pred: PredicateSpec):
     """The one place a predicate is evaluated, for check() and the kernel's
@@ -376,8 +386,7 @@ def _predicate_evaluator(spec: GroupSpec, pred: PredicateSpec):
     if _uses_tuples(spec) or (isinstance(spec, PrimePowerField) and not modular):
         raise ValueError(f"predicate {pred.kind} is not defined over {spec!r}")
     if modular and isinstance(spec, (PrimeField, PrimePowerField)):
-        table = _field_table(spec, pred)
-        return lambda rows: [bytes(map(table.__getitem__, row)) for row in rows]
+        return _table_truths(_field_table(spec, pred), None)
     if modular:
         q = pred.params[0]
         if not is_prime(q):
@@ -386,7 +395,7 @@ def _predicate_evaluator(spec: GroupSpec, pred: PredicateSpec):
             table = _field_table(PrimeField(q), pred)
         else:
             table = _square_class_table(q, pred.kind)
-        return lambda rows: [bytes(map(table.__getitem__, map(mod, row, repeat(q)))) for row in rows]
+        return _table_truths(table, q)
     if pred.kind == "coprime_to":
         table = PredicateTable(pred)
         return lambda rows: [table.truths(row) for row in rows]
@@ -561,13 +570,6 @@ def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
             raise ValueError("first and last pins coincide")
 
 
-def _group_elements(spec: CyclicProduct | PrimeField | PrimePowerField) -> list:
-    """Every element of a finite group, zero first."""
-    if isinstance(spec, CyclicProduct) and len(spec.moduli) > 1:
-        return list(product(*map(range, spec.moduli)))
-    return list(range(group_order(spec)))
-
-
 def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
     """The root stage of search(): Gordon's label-sum argument, run once per
     rainbow clause.  Returns (certificate, last): a RootCertificate when a
@@ -612,7 +614,7 @@ def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
             return RootCertificate(ci, cl.kind, size, windows, None), None
         if shape == LINEAR and not diff:
             continue  # the sum of a path's labels depends on its order
-        labels = _group_elements(space)
+        labels = group_elements(space)
         zero = labels[0]
         if diff and cl.modulus is None:
             labels = labels[1:]
@@ -1052,11 +1054,7 @@ def search(
         k = 1
         prev = path[0]
         used = 0
-        key = None
-        if memo_failures:
-            key = (unused, prev, path[1]) if sym_reduce else (unused, prev)
-            if key in failed:
-                return False
+        key = None  # the root's subproblem is met once, so it is not memoized
         cands = None
         levels = []
         while True:
@@ -1071,7 +1069,7 @@ def search(
                 mark = len(log)
             if not cands:
                 # every candidate at position k is done
-                if memo_failures and witnesses == at_entry:
+                if key is not None and witnesses == at_entry:
                     if len(failed) >= _MEMO_CAP:
                         failed.clear()
                     failed.add(key)
@@ -1241,15 +1239,6 @@ def canonical_form(arrangement: Arrangement, constraint: Constraint) -> Arrangem
 # --- paired numberings ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairOutcome:
-    status: str
-    a: tuple | None
-    b: tuple | None
-    nodes: int
-    elapsed_ms: int
-
-
 def check_pair_numbering(spec: GroupSpec, a: tuple, b: tuple) -> bool:
     """Whether the n values a_i + 2*b_i are pairwise distinct."""
     if sorted(a) != sorted(b):
@@ -1257,31 +1246,45 @@ def check_pair_numbering(spec: GroupSpec, a: tuple, b: tuple) -> bool:
     return len(set(rainbow_labels(spec, RainbowClause(RB_WEIGHTED), a, b))) == len(a)
 
 
-def search_pair_numbering(ground: GroundSet, budget: int = DEFAULT_BUDGET) -> PairOutcome:
-    """Two numberings a, b of the same set with a_i + 2*b_i pairwise
-    distinct.  Only the pairing matters, so this walks bijections directly;
-    factorial-squared growth is avoided but the entry point is still capped."""
-    n = len(ground)
-    if n > PAIR_NUMBERING_MAX:
-        raise ValueError(f"pair numbering search capped at {PAIR_NUMBERING_MAX}, got {n}")
+def search_pair_numbering(ground: GroundSet, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
+    """Numberings a (the sorted ground) and b of one set with a_i + 2*b_i
+    pairwise distinct.  Position i with element j has the label rows[j][i]
+    of a weighted clause's tracker; a prefix is cut at its first repeated
+    label, so the witness b is the first in lex order."""
     t0 = time.perf_counter()
-    spec = ground.spec
     elems = sorted(ground.elements)
-    nodes = 0
-    for perm in permutations(range(n)):
+    n = len(elems)
+    _, _, rows = _rainbow_tracker(ground.spec, RainbowClause(RB_WEIGHTED), elems, count())
+    path = [0] * n
+    # per position, as bits: the elements unused, those left to try, the labels in use
+    unused = [(1 << n) - 1] + [0] * n
+    cands = unused[:]
+    used = [0] * (n + 1)
+    nodes = i = 0
+    status = "exhausted"
+    while i >= 0:
+        c = cands[i]
+        if not c:
+            i -= 1
+            continue
+        b = c & -c
+        cands[i] = c ^ b
         nodes += 1
         if nodes > budget:
-            return PairOutcome("budget", None, None, nodes, int((time.perf_counter() - t0) * 1000))
-        labels = set()
-        ok = True
-        for i, j in enumerate(perm):
-            v = group_add(spec, elems[i], group_double(spec, elems[j]))
-            if v in labels:
-                ok = False
-                break
-            labels.add(v)
-        if ok:
-            a = tuple(elems)
-            b = tuple(elems[j] for j in perm)
-            return PairOutcome("witness", a, b, nodes, int((time.perf_counter() - t0) * 1000))
-    return PairOutcome("exhausted", None, None, nodes, int((time.perf_counter() - t0) * 1000))
+            status = "budget"
+            break
+        j = b.bit_length() - 1
+        bit = 1 << rows[j][i]
+        if used[i] & bit:
+            continue
+        path[i] = j
+        if i == n - 1:
+            status = "witness"
+            break
+        used[i + 1] = used[i] | bit
+        unused[i + 1] = cands[i + 1] = unused[i] ^ b
+        i += 1
+    witness = None
+    if status == "witness":
+        witness = Arrangement(ground.spec, LINEAR, tuple(elems[j] for j in path))
+    return SearchOutcome(status, witness, nodes, int((time.perf_counter() - t0) * 1000))

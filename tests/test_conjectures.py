@@ -9,7 +9,9 @@ import pytest
 import permlab
 from permlab.algebra import (
     CIRCULAR,
+    LINEAR,
     Arrangement,
+    CyclicProduct,
     PrimeField,
     element_coords,
     element_from_coords,
@@ -84,7 +86,7 @@ CATALOG_DIGESTS = {
     "3.4i": "c7479a4c358d9184",
     "3.4ii": "c2e02d25484c77ee",
     "3.5i": "317b608454da57a8",
-    "3.5ii": "2864cd807ec825e8",
+    "3.5ii": "f4f5f487696c0d49",
     "3.6": "f6f5122cb8c8066f",
     "3.7i": "f15f5aded6873bb7",
     "3.7ii-diffs": "cb6d9ad4305c6492",
@@ -251,6 +253,17 @@ class TestRunInstance:
         assert len(rec.witness) == 8
         assert replay_witness(rec)
 
+    def test_pair_sweep_past_six_elements(self):
+        # the 3.5ii sweep has no size cap: every instance up to order 36
+        # is a witness at 20,000 label tries, except whole Z/6 x Z/6 and
+        # Z/3 x Z/12 (one instance each, recorded under three seeds)
+        params = iter_params("3.5ii", 9, 36, 0)
+        assert max(p["n"] for p in params) == 36
+        recs = [run_instance("3.5ii", p, 20_000) for p in params]
+        stuck = [(instance("3.5ii", r.params).ground.spec.moduli, r.params["n"], r.status)
+                 for r in recs if r.status != "witness"]
+        assert stuck == [((6, 6), 36, "budget")] * 3 + [((3, 12), 36, "budget")] * 3
+
     def test_two_phase_records(self):
         rec = run_instance("3.2", {"n": 4, "m": 4, "subset": 0})
         assert rec.status in ("witness", "skipped-precondition")
@@ -277,9 +290,10 @@ class TestRunInstance:
         # over Z/7, a = (0, 1, 2, 3) and b = (1, 0, 2, 3) give the labels
         # a_i + 2 b_i = 2, 1, 6, 2.  The re-check must hold under python -O.
         import permlab.conjectures as conjectures
-        from permlab.search import PairOutcome
+        from permlab.search import SearchOutcome
 
-        bad = PairOutcome("witness", (0, 1, 2, 3), (1, 0, 2, 3), 1, 0)
+        b = Arrangement(CyclicProduct((7,)), LINEAR, (1, 0, 2, 3))
+        bad = SearchOutcome("witness", b, 1, 0)
         monkeypatch.setattr(conjectures, "search_pair_numbering", lambda ground, budget: bad)
         with pytest.raises(RuntimeError,
                            match=r"^search_pair_numbering produced an invalid numbering: "):

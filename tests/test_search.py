@@ -22,10 +22,18 @@ from permlab.algebra import (
     field_view,
     group_add,
     group_double,
+    group_elements,
     group_mul,
+    group_neg_all,
     group_sub,
 )
-from permlab.numtheory import MODULAR_KINDS, PredicateSpec, is_prime, predicate_allows
+from permlab.numtheory import (
+    MODULAR_KINDS,
+    PredicateSpec,
+    factorize,
+    is_prime,
+    predicate_allows,
+)
 from permlab.search import (
     CheckReport,
     Constraint,
@@ -784,6 +792,33 @@ class TestAdjacencyCompile:
                 field = _field_table(PrimeField(q), PredicateSpec(kind, (q,)))
                 assert _square_class_table(q, kind) == field, (q, kind)
 
+    def test_truth_rows_read_by_translate_and_by_map(self):
+        # a table of at most 256 entries is read a row at a time with
+        # bytes.translate, a larger one a label at a time; both must give
+        # the bytes of a label-by-label read of the same table
+        def by_map(table, row):
+            return bytes(table[x % len(table)] for x in row)
+
+        fields = [q for q in range(3, 257) if len(factorize(q).pairs) == 1] + [343]
+        for q in fields:
+            spec = field_spec_for(q)
+            row = list(range(q)) * 2
+            for kind in MODULAR_KINDS:
+                pred = PredicateSpec(kind, (q,))
+                table = _field_table(spec, pred)
+                assert _predicate_evaluator(spec, pred)([row, row[:3]]) == [
+                    by_map(table, row), by_map(table, row[:3])], (q, kind)
+        # integer and Z/m grounds reduce their labels, negative ones too
+        for q in [p for p in range(3, 257) if is_prime(p)] + [263]:
+            row = list(range(-3 * q, 3 * q + 5))
+            for kind in MODULAR_KINDS:
+                pred = PredicateSpec(kind, (q,))
+                table = _field_table(PrimeField(q), pred)
+                assert _predicate_evaluator(Z, pred)([row]) == [by_map(table, row)], (q, kind)
+                zm = CyclicProduct((2 * q + 1,))
+                assert _predicate_evaluator(zm, pred)([row[3 * q:]]) == [
+                    by_map(table, row[3 * q:])], (q, kind)
+
     def test_large_modulus_over_integers(self):
         # one byte per residue of q = 1,000,003: the field's exp and log
         # tables would take over 100 MB
@@ -1043,44 +1078,83 @@ class TestDenseOutcomeFence:
         assert h.hexdigest() == "26f7a2b70de6d90de36353547e9affd729ca10d1f8e1a3a818731222a2f69a33"
 
 
+def _permutation_pair_walk(ground):
+    """The pair walk's reference: every b in itertools.permutations order,
+    each checked whole against a = the sorted ground.  Returns (status, b)."""
+    spec = ground.spec
+    a = sorted(ground.elements)
+    for b in permutations(a):
+        labels = {group_add(spec, x, group_double(spec, y)) for x, y in zip(a, b)}
+        if len(labels) == len(a):
+            return "witness", b
+    return "exhausted", None
+
+
+def _pair_walk(ground):
+    out = search_pair_numbering(ground)
+    return out.status, out.witness and out.witness.elements
+
+
 class TestPairNumbering:
     def test_small_witness(self):
         g = ints(1, 2, 3, 4)
         out = search_pair_numbering(g)
         assert out.status == "witness"
-        assert check_pair_numbering(Z, out.a, out.b)
+        assert out.witness.shape == LINEAR
+        assert check_pair_numbering(Z, (1, 2, 3, 4), out.witness.elements)
 
     def test_group_instance(self):
         spec = CyclicProduct((5,))
         g = GroundSet(spec, (0, 1, 2, 3))
         out = search_pair_numbering(g)
         assert out.status == "witness"
-        assert check_pair_numbering(spec, out.a, out.b)
-
-    def test_capacity(self):
-        with pytest.raises(ValueError):
-            search_pair_numbering(ints(*range(7)))
+        assert check_pair_numbering(spec, g.elements, out.witness.elements)
 
     def test_matches_direct_enumeration(self):
-        from permlab.algebra import group_add, group_double
-
         rng = random.Random(9)
         for _ in range(20):
             n = rng.randint(2, 5)
             mod = rng.randint(2, 9)
             spec = CyclicProduct((mod,))
             vals = tuple(sorted(rng.sample(range(mod), min(n, mod))))
-            out = search_pair_numbering(GroundSet(spec, vals))
-            exists = False
-            for perm in permutations(vals):
-                labels = {
-                    group_add(spec, x, group_double(spec, y))
-                    for x, y in zip(vals, perm)
-                }
-                if len(labels) == len(vals):
-                    exists = True
-                    break
-            assert (out.status == "witness") == exists, (vals, mod)
+            ground = GroundSet(spec, vals)
+            assert _pair_walk(ground) == _permutation_pair_walk(ground), (vals, mod)
+
+    def test_first_pairing_of_the_permutation_walk(self):
+        # the walk cuts a prefix at its first repeated label, so its first
+        # pairing is the first b in permutation order: checked on every
+        # oracle ground of 3.5ii and every swept ground of up to 6 elements
+        from permlab.conjectures import instance, iter_params, oracle_params
+
+        params = oracle_params("3.5ii")
+        for seed in (0, 1, 2):
+            params += [p for p in iter_params("3.5ii", 4, 36, seed) if p["n"] <= 6]
+        assert len(params) == len(oracle_params("3.5ii")) + 1962
+        for p in params:
+            ground = instance("3.5ii", p).ground
+            assert _pair_walk(ground) == _permutation_pair_walk(ground), p
+
+    def test_no_size_cap(self):
+        # whole Z/36 in 5,447 label tries
+        out = search_pair_numbering(GroundSet(CyclicProduct((36,)), tuple(range(36))))
+        assert out.status == "witness" and out.nodes == 5447
+        assert check_pair_numbering(out.witness.spec, tuple(range(36)), out.witness.elements)
+
+    def test_budget_counts_label_tries(self):
+        # lex order meets no pairing of whole Z/6 x Z/6 in 1,000 label tries
+        ground = GroundSet(CyclicProduct((6, 6)), tuple(product(range(6), range(6))))
+        out = search_pair_numbering(ground, 1000)
+        assert (out.status, out.witness, out.nodes) == ("budget", None, 1001)
+
+    def test_negation_pairs_every_whole_group(self):
+        # b = -a gives the labels a_i - 2 a_i = -a_i, all distinct, so every
+        # whole group of the catalog has a pairing, reached by lex order or not
+        from permlab.conjectures import _GROUPS_BY_ORDER
+
+        for moduli in [g for groups in _GROUPS_BY_ORDER.values() for g in groups]:
+            spec = CyclicProduct(moduli)
+            a = group_elements(spec)
+            assert check_pair_numbering(spec, a, group_neg_all(spec, a)), moduli
 
 
 class TestValidation:
