@@ -73,6 +73,8 @@ from .algebra import (
     field_spec_for,
     field_view,
     group_elements,
+    group_neg_all,
+    group_order,
     sylow2_cyclic,
 )
 from .constructions import qr_cycle
@@ -481,7 +483,9 @@ def _int_sweep(with_first: bool, min_n: int = 3, nonzero: bool = False):
 
 def _group_sweep(sizes_from: int, with_first: bool):
     """Subsets of the finite abelian groups of order m: all of them, with
-    every designated first, in small cyclic groups, seeded samples else."""
+    every designated first, in small cyclic groups, seeded samples else.
+    The full-group size n = m is named once per seed, and every seed gives
+    the same instance, the whole group; run_instance searches it once."""
     def sweep(lo, hi, seed):
         for m in range(max(lo, 2), hi + 1):
             for g, moduli in enumerate(_GROUPS_BY_ORDER.get(m, [])):
@@ -765,17 +769,23 @@ def _run_search(cid: str, params: dict, inst: Instance, budget: int,
 
 
 def _run_pair(cid: str, params: dict, inst: Instance, budget: int) -> VerificationRecord:
+    """The lex-first walk; where it runs out of budget on a whole group,
+    b = -a, whose labels a_i - 2 a_i = -a_i are all distinct."""
     out = search_pair_numbering(inst.ground, budget)
-    if out.status != "witness":
-        return VerificationRecord(cid, params, out.status, None, out.nodes, out.elapsed_ms)
     spec = inst.ground.spec
-    a, b = tuple(sorted(inst.ground.elements)), out.witness.elements
+    a = tuple(sorted(inst.ground.elements))
+    note = "witness holds both numberings, a then b"
+    if out.status == "witness":
+        b = out.witness.elements
+    elif out.status == "budget" and _is_whole_group(inst.ground):
+        b = tuple(group_neg_all(spec, a))
+        note += "; b = -a"
+    else:
+        return VerificationRecord(cid, params, out.status, None, out.nodes, out.elapsed_ms)
     if not check_pair_numbering(spec, a, b):
         raise RuntimeError(f"search_pair_numbering produced an invalid numbering: a = {a}, b = {b}")
-    return VerificationRecord(
-        cid, params, "witness", _witness_coords(spec, a + b), out.nodes,
-        out.elapsed_ms, note="witness holds both numberings, a then b",
-    )
+    return VerificationRecord(cid, params, "witness", _witness_coords(spec, a + b), out.nodes,
+                              out.elapsed_ms, note=note)
 
 
 def _run_two_phase(cid: str, params: dict, inst: Instance, budget: int) -> VerificationRecord:
@@ -814,16 +824,39 @@ _RUNNERS = {"search": _run_search, "pair": _run_pair, "two-phase": _run_two_phas
             "qr": _run_qr}
 
 
+def _is_whole_group(ground: GroundSet) -> bool:
+    spec = ground.spec
+    return isinstance(spec, CyclicProduct) and len(ground) == group_order(spec)
+
+
+# (conjecture id, instance, budget) -> the record of its first run, for
+# whole-group instances only: they are the ones a campaign names more than
+# once (under every seed), and keeping every instance would grow the
+# process for no repeat
+_WHOLE_GROUP_ANSWERS: dict[tuple, VerificationRecord] = {}
+
+
 def run_instance(conjecture_id: str, params: dict,
                  budget: int = DEFAULT_BUDGET) -> VerificationRecord:
     """Run one instance to a self-contained record.  Witnesses are always
-    re-checked before being recorded."""
+    re-checked before being recorded.  An instance whose ground is a whole
+    finite group is the same whatever seed named it, so it is answered once
+    per process: a later call gets the first record, with its own params
+    and the first run's nodes and elapsed_ms."""
     inst = instance(conjecture_id, params)
     if not inst.precondition_ok:
         return VerificationRecord(
             conjecture_id, params, "skipped-precondition", None, 0, 0, note=inst.note
         )
-    return _RUNNERS[inst.mode](conjecture_id, params, inst, budget)
+    run = _RUNNERS[inst.mode]
+    if not _is_whole_group(inst.ground):
+        return run(conjecture_id, params, inst, budget)
+    key = (conjecture_id, inst, budget)
+    rec = _WHOLE_GROUP_ANSWERS.get(key)
+    if rec is None:
+        rec = _WHOLE_GROUP_ANSWERS[key] = run(conjecture_id, params, inst, budget)
+        return rec
+    return replace(rec, params=params)
 
 
 def run_counterexample(cid: str, params: dict,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -255,14 +256,81 @@ class TestRunInstance:
 
     def test_pair_sweep_past_six_elements(self):
         # the 3.5ii sweep has no size cap: every instance up to order 36
-        # is a witness at 20,000 label tries, except whole Z/6 x Z/6 and
-        # Z/3 x Z/12 (one instance each, recorded under three seeds)
+        # is a witness at 20,000 label tries.  The walk finds all but whole
+        # Z/6 x Z/6 and Z/3 x Z/12 (one instance each, recorded under three
+        # seeds), which are answered with b = -a
         params = iter_params("3.5ii", 9, 36, 0)
         assert max(p["n"] for p in params) == 36
         recs = [run_instance("3.5ii", p, 20_000) for p in params]
-        stuck = [(instance("3.5ii", r.params).ground.spec.moduli, r.params["n"], r.status)
-                 for r in recs if r.status != "witness"]
-        assert stuck == [((6, 6), 36, "budget")] * 3 + [((3, 12), 36, "budget")] * 3
+        assert [r for r in recs if r.status != "witness"] == []
+        negated = [(instance("3.5ii", r.params).ground.spec.moduli, r.params["n"])
+                   for r in recs if r.note.endswith("b = -a")]
+        assert negated == [((6, 6), 36)] * 3 + [((3, 12), 36)] * 3
+
+    def test_pair_negation_on_a_whole_group(self, kernel_runs):
+        # lex order finds no pairing of whole Z/6 x Z/6 in 1,000 tries
+        params = {"m": 36, "g": 1, "n": 36, "seed": 0}
+        rec = run_instance("3.5ii", params, 1_000)
+        assert (rec.status, rec.nodes) == ("witness", 1_001)
+        assert rec.note == "witness holds both numberings, a then b; b = -a"
+        a, b = rec.witness[:36], rec.witness[36:]
+        assert b == [[-x % 6, -y % 6] for x, y in a]
+        assert replay_witness(rec)
+        # a subset of the group gets no such fallback
+        rec = run_instance("3.5ii", {**params, "n": 35}, 10)
+        assert (rec.status, rec.witness) == ("budget", None)
+
+    @pytest.fixture
+    def kernel_runs(self, monkeypatch):
+        """An empty whole-group memo, and the sizes of the grounds that
+        run_instance hands to the kernel from here on."""
+        import permlab.conjectures as conjectures
+
+        monkeypatch.setattr(conjectures, "_WHOLE_GROUP_ANSWERS", {})
+        runs = []
+
+        def counting(ground, *args):
+            runs.append(len(ground))
+            return search(ground, *args)
+
+        monkeypatch.setattr(conjectures, "search", counting)
+        return runs
+
+    @staticmethod
+    def _whole_group_params(cid, m, g):
+        params = [p for p in iter_params(cid, m, m, 0) if p["g"] == g and p["n"] == m]
+        assert [p["seed"] for p in params] == [0, 1, 2]
+        return params
+
+    def test_whole_group_is_searched_once(self, kernel_runs):
+        # 3.3 over whole Z/3 x Z/3 fails its precondition, so 3.3 is taken
+        # over whole Z/10
+        for cid, m, g in (("3.3", 10, 0), ("3.6", 9, 1)):
+            params = self._whole_group_params(cid, m, g)
+            recs = [run_instance(cid, p, 10_000) for p in params]
+            assert kernel_runs == [m]
+            kernel_runs.clear()
+            assert [r.params for r in recs] == params
+            assert recs[0].status == "witness" and replay_witness(recs[2])
+            assert all(replace(r, params=params[0]) == recs[0] for r in recs)
+        recs = [run_instance("3.3", p) for p in self._whole_group_params("3.3", 9, 1)]
+        assert {r.status for r in recs} == {"skipped-precondition"}
+        assert kernel_runs == []
+
+    def test_whole_group_again_under_another_budget_or_id(self, kernel_runs):
+        p = self._whole_group_params("3.6", 9, 1)[0]
+        first = run_instance("3.6", p, 10_000)
+        again = run_instance("3.6", p, 20_000)  # the same witness, searched again
+        assert replace(again, elapsed_ms=0) == replace(first, elapsed_ms=0)
+        assert run_instance("3.4i", p, 10_000).conjecture == "3.4i"
+        run_instance("3.6", p, 10_000)
+        assert kernel_runs == [9, 9, 9]
+
+    def test_subset_is_searched_every_time(self, kernel_runs):
+        p = {"m": 9, "g": 1, "n": 8, "seed": 0}
+        recs = [run_instance("3.6", p, 10_000) for _ in range(2)]
+        assert kernel_runs == [8, 8]
+        assert replace(recs[0], elapsed_ms=0) == replace(recs[1], elapsed_ms=0)
 
     def test_two_phase_records(self):
         rec = run_instance("3.2", {"n": 4, "m": 4, "subset": 0})

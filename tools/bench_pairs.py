@@ -16,7 +16,12 @@ workload W per side is added.
 The output holds topic, command, host and method, and per workload the
 number of pairs, the median and quartiles of every metric on each side,
 in how many pairs the change read better (in the metric's `better`
-direction in the change's BENCHMARK.json), and every run.  This script
+direction in the change's BENCHMARK.json), two verdicts per metric, and
+every run.  `gain_holds`: the change read better in at least 9 of 10
+pairs, and its median beats the parent's by more than the parent's
+quartile spread.  `within_bound`: the change's median is not worse than
+the parent's by more than the metric's `bound`, a fraction of the
+parent's median.  This script
 imports nothing from permlab and writes nothing in the checkouts but what
 run.py itself writes (.perfbench_out/).
 """
@@ -58,12 +63,13 @@ def pair_order(pair: int) -> tuple:
     return SIDES if pair % 2 else SIDES[::-1]
 
 
-def summarize(runs: list, better: dict) -> dict:
+def summarize(runs: list, better: dict, bound: dict) -> dict:
     """The per-workload block of a BENCH file from its runs, each
     {"seed", "first", "parent": result, "change": result}: per side the
-    median and the quartiles (statistics.quantiles, n = 4) of every metric,
-    and per metric the number of pairs where the change read better in its
-    direction, better[name] ("lower" or "higher")."""
+    median and the quartiles (statistics.quantiles, n = 4) of every metric;
+    per metric the number of pairs where the change read better in its
+    direction, better[name] ("lower" or "higher"), and the verdicts
+    gain_holds and within_bound (bound[name] is a fraction)."""
     names = list(runs[0]["parent"]["metrics"])
 
     def values(side, name):
@@ -73,8 +79,11 @@ def summarize(runs: list, better: dict) -> dict:
     for side in SIDES:
         median[side] = {name: statistics.median(values(side, name)) for name in names}
         quartiles[side] = {name: statistics.quantiles(values(side, name), n=4) for name in names}
+    # gain[name]: how far the change's median is better than the parent's
+    sign = {name: 1 if better[name] == "lower" else -1 for name in names}
+    gain = {name: sign[name] * (median["parent"][name] - median["change"][name]) for name in names}
     wins = {
-        name: sum(c < p if better[name] == "lower" else c > p
+        name: sum(sign[name] * (p - c) > 0
                   for p, c in zip(values("parent", name), values("change", name)))
         for name in names
     }
@@ -83,6 +92,14 @@ def summarize(runs: list, better: dict) -> dict:
         "median": median,
         "quartiles": quartiles,
         "change_better_in_pairs": wins,
+        "gain_holds": {
+            name: 10 * wins[name] >= 9 * len(runs)
+            and gain[name] > quartiles["parent"][name][2] - quartiles["parent"][name][0]
+            for name in names
+        },
+        "within_bound": {
+            name: -gain[name] <= bound[name] * abs(median["parent"][name]) for name in names
+        },
         "runs": runs,
     }
 
@@ -106,6 +123,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     out = {
         "topic": args.topic,
@@ -125,7 +143,7 @@ def main(argv=None) -> int:
             print(f"{workload} pair {pair}: run_s "
                   + " -> ".join(f"{run[s]['metrics']['run_s']['value']:.3f}" for s in SIDES),
                   file=sys.stderr)
-        out["workloads"][workload] = summarize(runs, better)
+        out["workloads"][workload] = summarize(runs, better, bound)
     if args.traced:
         out["traced"] = {"command": "python3 " + " ".join(command(args.traced, 1, 10, 1))}
         for side in SIDES:
