@@ -1,6 +1,7 @@
 """Command line frontend: constructions, certificate checking, one-off
 searches, verification campaigns with JSONL records and resume, and the
-fixture suite.
+fixture suite, which replays the stored witnesses and runs the known
+impossibilities (the exceptional sets of 3.12i/3.12ii among them).
 
 Exit codes, shared by every subcommand:
   0  requested property holds / witness found
@@ -8,8 +9,9 @@ Exit codes, shared by every subcommand:
   2  inconclusive (node budget exceeded)
   3  usage error (bad arguments, malformed files)
 
-The default search budget is 10**8 nodes; the PERMLAB_BUDGET environment
-variable overrides it.
+The default search budget is 10**8 nodes.  The PERMLAB_BUDGET environment
+variable overrides it for the commands that take --budget (search, verify,
+fixtures), and is read only when --budget is not given.
 """
 
 from __future__ import annotations
@@ -342,15 +344,12 @@ def cmd_verify(args) -> int:
             sink.write(json.dumps(header, sort_keys=True) + "\n")
             sink.flush()
 
-    expected_exhausted = args.family == "exceptional"
     statuses = {"witness": 0, "exhausted": 0, "budget": 0, "skipped-precondition": 0}
-    conforming = True
     searched = 0
     try:
         for rec in verify_range(
             args.conjecture, getattr(args, "from"), args.to,
-            budget=budget, jobs=args.jobs, seed=args.seed, family=args.family,
-            skip_keys=skip,
+            budget=budget, jobs=args.jobs, seed=args.seed, skip_keys=skip,
         ):
             searched += 1
             statuses[rec.status] += 1
@@ -360,13 +359,7 @@ def cmd_verify(args) -> int:
                 sink.flush()
             else:
                 print(line)
-            if expected_exhausted and rec.status == "witness":
-                conforming = False
-                print(
-                    f"UNEXPECTED witness for exceptional instance {rec.params}",
-                    file=sys.stderr,
-                )
-            if not expected_exhausted and rec.status == "exhausted":
+            if rec.status == "exhausted":
                 print(
                     f"EXHAUSTED: no arrangement exists for {args.conjecture} {rec.params}"
                     " - this contradicts the statement under test",
@@ -381,10 +374,6 @@ def cmd_verify(args) -> int:
         f"{statuses['skipped-precondition']} skipped",
         file=sys.stderr,
     )
-    if expected_exhausted:
-        if not conforming:
-            return EXIT_NEGATIVE
-        return EXIT_BUDGET if statuses["budget"] else EXIT_OK
     if statuses["exhausted"]:
         return EXIT_NEGATIVE
     if statuses["budget"]:
@@ -455,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="run the kernel on an instance file")
     s.add_argument("--instance", required=True)
-    s.add_argument("--budget", type=int, default=default_budget())
+    s.add_argument("--budget", type=int)
     s.add_argument("--all-small", action="store_true",
                    help=f"also run the brute-force oracle (ground size <= {BRUTE_FORCE_MAX})")
     s.set_defaults(fn=cmd_search)
@@ -465,10 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--from", type=int, default=1)
     v.add_argument("--to", type=int, default=10)
     v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--budget", type=int, default=default_budget())
+    v.add_argument("--budget", type=int)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--family", choices=["exceptional"],
-                   help="the known exceptions of 3.12i / 3.12ii instead of the sweep")
     v.add_argument("--out", help="append records to this JSONL file")
     v.add_argument("--resume", action="store_true",
                    help="skip instances already recorded in --out")
@@ -477,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fixtures", help="replay the stored witness fixtures "
                                         "and known impossibilities")
     f.add_argument("--out", help="write records to this JSONL file")
-    f.add_argument("--budget", type=int, default=default_budget())
+    f.add_argument("--budget", type=int)
     f.set_defaults(fn=cmd_fixtures)
     return top
 
@@ -494,6 +481,10 @@ def main(argv=None) -> int:
             print(f"error: {exc.code}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # only a command that takes --budget reads PERMLAB_BUDGET, so a bad
+        # value fails no other command
+        if vars(args).get("budget", 0) is None:
+            args.budget = default_budget()
         return args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -723,20 +723,12 @@ def instance(conjecture_id: str, params: dict) -> Instance:
     return fam.build(dict(params))
 
 
-def iter_params(conjecture_id: str, lo: int, hi: int, seed: int = 0,
-                family: str | None = None) -> list[dict]:
-    """The params of a campaign over [lo, hi], in record order.  family
-    "exceptional" swaps 3.12i/3.12ii's sweep for their known exceptions."""
+def iter_params(conjecture_id: str, lo: int, hi: int, seed: int = 0) -> list[dict]:
+    """The params of a campaign over [lo, hi], in record order."""
     fam = _REGISTRY.get(conjecture_id)
     if fam is None:
         raise ValueError(f"unknown conjecture id {conjecture_id!r}")
-    if family is None:
-        return list(fam.iter_params(lo, hi, seed))
-    if family != "exceptional":
-        raise ValueError(f"unknown family {family!r}; the only one is 'exceptional'")
-    if conjecture_id not in ("3.12i", "3.12ii"):
-        raise ValueError("--family exceptional only applies to 3.12i / 3.12ii")
-    return [fx[1] for fx in counterexample_fixtures() if fx[0] == conjecture_id]
+    return list(fam.iter_params(lo, hi, seed))
 
 
 def oracle_params(conjecture_id: str) -> list[dict]:
@@ -768,16 +760,26 @@ def _run_search(cid: str, params: dict, inst: Instance, budget: int,
                               ms + out.elapsed_ms, note=note)
 
 
+# label tries of the lex-first pair walk on a whole group.  Over every
+# whole group the 3.5ii sweep names (orders 4-36) the walk finds a pairing
+# within 5,447 tries (whole Z/36), or none in 10**6 (whole Z/6 x Z/6 and
+# Z/3 x Z/12), and b = -a pairs every whole group
+_WHOLE_GROUP_PAIR_TRIES = 10**5
+
+
 def _run_pair(cid: str, params: dict, inst: Instance, budget: int) -> VerificationRecord:
-    """The lex-first walk; where it runs out of budget on a whole group,
-    b = -a, whose labels a_i - 2 a_i = -a_i are all distinct."""
-    out = search_pair_numbering(inst.ground, budget)
+    """The lex-first walk, of at most _WHOLE_GROUP_PAIR_TRIES tries on a
+    whole group; where it runs out there, b = -a, whose labels
+    a_i - 2 a_i = -a_i are all distinct."""
+    whole = _is_whole_group(inst.ground)
+    tries = min(budget, _WHOLE_GROUP_PAIR_TRIES) if whole else budget
+    out = search_pair_numbering(inst.ground, tries)
     spec = inst.ground.spec
     a = tuple(sorted(inst.ground.elements))
     note = "witness holds both numberings, a then b"
     if out.status == "witness":
         b = out.witness.elements
-    elif out.status == "budget" and _is_whole_group(inst.ground):
+    elif out.status == "budget" and whole:
         b = tuple(group_neg_all(spec, a))
         note += "; b = -a"
     else:
@@ -861,33 +863,30 @@ def run_instance(conjecture_id: str, params: dict,
 
 def run_counterexample(cid: str, params: dict,
                        budget: int = DEFAULT_BUDGET) -> VerificationRecord:
-    """run_instance without the precondition gate: counterexample instances
-    are searched even when their precondition marks them out of a
-    conjecture's scope (that is the point)."""
+    """run_instance without the precondition gate, for `permlab fixtures`:
+    a known impossibility, such as an exceptional sign pattern of 3.12i or
+    3.12ii, lies outside its conjecture's precondition, and its exhaustion
+    is what it shows."""
     inst = instance(cid, params)
     return _RUNNERS[inst.mode](cid, params, inst, budget)
 
 
 def verify_range(conjecture_id: str, lo: int, hi: int, *,
                  budget: int = DEFAULT_BUDGET, jobs: int = 1, seed: int = 0,
-                 family: str | None = None,
                  skip_keys: set | None = None):
     """Yield VerificationRecords for the family's instances over [lo, hi],
     in deterministic instance order regardless of worker count.  Keys in
-    skip_keys (resume) are not re-searched.  The exceptional family is
-    searched despite failing its conjecture's precondition: demonstrating
-    exhaustion is its whole point."""
-    run = run_counterexample if family == "exceptional" else run_instance
+    skip_keys (resume) are not re-searched."""
     plan = [
-        params for params in iter_params(conjecture_id, lo, hi, seed, family)
+        params for params in iter_params(conjecture_id, lo, hi, seed)
         if not skip_keys or record_key(conjecture_id, params) not in skip_keys
     ]
     if jobs <= 1:
         for params in plan:
-            yield run(conjecture_id, params, budget)
+            yield run_instance(conjecture_id, params, budget)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run, conjecture_id, params, budget) for params in plan]
+        futures = [pool.submit(run_instance, conjecture_id, params, budget) for params in plan]
         for fut in futures:
             yield fut.result()
 

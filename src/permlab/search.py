@@ -571,9 +571,10 @@ def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
 
 
 def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
-    """The root stage of search(): Gordon's label-sum argument, run once per
-    rainbow clause.  Returns (certificate, last): a RootCertificate when a
-    clause has no arrangement, and the last element, pinned or forced.
+    """The root stage of search() on two or more elements: Gordon's
+    label-sum argument, run once per rainbow clause.  Returns (certificate,
+    last): a RootCertificate when a clause has no arrangement, and the last
+    element, pinned or forced.
 
     A clause's w windows take distinct labels in its label space L: the
     group itself, less 0 for diff; Z/m under a modulus on integers.  So the
@@ -589,8 +590,6 @@ def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
     spec = ground.spec
     n = len(ground)
     first, last = constraint.first, constraint.last
-    if n < 2:
-        return None, last
     for ci, cl in enumerate(constraint.clauses):
         if not isinstance(cl, RainbowClause) or cl.kind in (RB_DISTANCE, RB_PRODUCT):
             continue
@@ -746,8 +745,6 @@ def _compile_adjacency(spec, elems, pclauses):
     one call, and a row of truths becomes a bitmask in one step."""
     n = len(elems)
     out_mask = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
-    if n == 1:
-        return out_mask, out_mask  # no pairs, so no labels
     for cl in pclauses:
         truths = _predicate_evaluator(spec, cl.predicate)
         ys = elems
@@ -789,20 +786,49 @@ def search(
         raise ValueError("budget must be >= 1 node")
     _validate_instance(ground, shape, constraint)
     t0 = time.perf_counter()
-    certificate, last = _label_sums(ground, shape, constraint)
-    if certificate is not None:
-        elapsed = int((time.perf_counter() - t0) * 1000)
-        return SearchOutcome("exhausted", None, 0, elapsed, 0 if count_witnesses else None, certificate)
+    certificate = None
+    nodes, found, witnesses = 0, None, 0
+    if len(ground) == 1:
+        # no windows and no edges: the element alone is the arrangement
+        nodes = witnesses = 1
+        found = _rechecked(Arrangement(ground.spec, shape, ground.elements), constraint)
+    else:
+        certificate, last = _label_sums(ground, shape, constraint)
+        if certificate is None:
+            nodes, found, witnesses = _walk(ground, shape, constraint, last, budget,
+                                            count_witnesses)
+    if nodes > budget:
+        status = "budget"
+    else:
+        status = "exhausted" if found is None else "witness"
+    elapsed = int((time.perf_counter() - t0) * 1000)
+    return SearchOutcome(status, found, nodes, elapsed, witnesses if count_witnesses else None,
+                         certificate)
+
+
+def _rechecked(arr: Arrangement, constraint: Constraint) -> Arrangement:
+    """arr, once check() passes it: the kernel returns no other witness."""
+    report = check(arr, constraint)
+    if not report.ok:
+        raise RuntimeError(f"kernel produced an invalid witness: {report.first.message}")
+    return arr
+
+
+def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element | None,
+          budget: int, count_witnesses: bool) -> tuple:
+    """The tree walk of search() on two or more elements, with last the
+    element pinned or forced last: (nodes, the first witness or None, the
+    witnesses counted).  It stops at the first witness unless it counts,
+    and after budget + 1 nodes."""
     spec = ground.spec
     elems = sorted(ground.elements)
     n = len(elems)
     circular = shape == CIRCULAR
 
     # one label tracker per rainbow clause, in clause order, all naming
-    # their labels from one namer (see _rainbow_tracker); a single element
-    # has no windows, so no labels
+    # their labels from one namer (see _rainbow_tracker)
     names = count()
-    trackers = [] if n == 1 else [
+    trackers = [
         _rainbow_tracker(spec, cl, elems, names)
         for cl in constraint.clauses
         if isinstance(cl, RainbowClause)
@@ -831,7 +857,6 @@ def search(
     )
 
     nodes = 0
-    over = False
     found: Arrangement | None = None
     witnesses = 0
     # two spare slots past the end hold path[0] and path[1] again once the
@@ -1019,12 +1044,7 @@ def search(
         nonlocal found, witnesses
         if found is None:
             arr = Arrangement(spec, shape, tuple(elems[i] for i in path[:n]))
-            report = check(arr, constraint)
-            if not report.ok:
-                raise RuntimeError(
-                    f"kernel produced an invalid witness: {report.first.message}"
-                )
-            found = arr
+            found = _rechecked(arr, constraint)
         witnesses += 1
         return not count_witnesses
 
@@ -1050,7 +1070,7 @@ def search(
         labels in use, memo key, witnesses at entry, undo mark), so it has
         no depth limit.  A level's candidates are a bitmask, taken lowest
         set bit first; cands is None while the level at k is new."""
-        nonlocal nodes, over
+        nonlocal nodes
         k = 1
         prev = path[0]
         used = 0
@@ -1086,7 +1106,6 @@ def search(
             j = b.bit_length() - 1
             nodes += 1
             if nodes > budget:
-                over = True
                 return True
             # the labels of the windows that end at k, one per clause that
             # has one there (at k = 1 only the pair kinds, which ignore x)
@@ -1128,15 +1147,7 @@ def search(
                     undo(mark)
 
     def run() -> None:
-        nonlocal nodes, over
-        if n == 1:
-            nodes += 1
-            if nodes > budget:
-                over = True
-                return
-            path[0] = 0
-            accept()
-            return
+        nonlocal nodes
         if first_idx is not None:
             starts = [first_idx]
         elif circular and last_idx is None:
@@ -1147,7 +1158,6 @@ def search(
         for s in starts:
             nodes += 1
             if nodes > budget:
-                over = True
                 return
             path[0] = s
             unused = full_mask ^ (1 << s)
@@ -1162,12 +1172,7 @@ def search(
                 return
 
     run()
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    if over:
-        return SearchOutcome("budget", found, nodes, elapsed, witnesses if count_witnesses else None)
-    if found is not None:
-        return SearchOutcome("witness", found, nodes, elapsed, witnesses if count_witnesses else None)
-    return SearchOutcome("exhausted", None, nodes, elapsed, 0 if count_witnesses else None)
+    return nodes, found, witnesses
 
 
 # --- brute force oracle ---------------------------------------------------------

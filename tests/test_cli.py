@@ -321,19 +321,15 @@ class TestVerify:
         assert f"line 3 is neither a header nor a record: {line}" in err
         assert out_path.read_text() == before
 
-    def test_exceptional_family_exit_zero(self, capsys):
+    def test_unknown_flag_is_usage_error(self, capsys):
+        # the known impossibilities of 3.12i/3.12ii are run by `fixtures`
         code, out, err = run(
-            capsys, "verify", "--conjecture", "3.12i", "--family", "exceptional"
-        )
-        assert code == 0
-
-    def test_unknown_family_is_usage_error(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--conjecture", "3.13", "--from", "1", "--to", "3",
-            "--family", "typo",
+            capsys, "verify", "--conjecture", "3.12i", "--from", "1", "--to", "3",
+            "--family", "exceptional",
         )
         assert code == 3
         assert out == ""
+        assert "unrecognized arguments: --family exceptional" in err
 
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify", "--conjecture", "9.99")
@@ -356,6 +352,29 @@ class TestVerify:
         monkeypatch.setenv("PERMLAB_BUDGET", "zero")
         with pytest.raises(SystemExit):
             default_budget()
+
+    def test_bad_budget_env_fails_only_a_command_that_reads_it(self, capsys, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.setenv("PERMLAB_BUDGET", "zero")
+        code, _, _ = run(capsys, "construct", "thm1.2ii", "--n", "6")
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "group": {"kind": "integers"}, "shape": "linear", "ground": [[1], [2]],
+            "constraint": {"clauses": [{"rainbow": "sum"}]},
+        }))
+        for argv in (["search", "--instance", str(path)], ["fixtures"],
+                     ["verify", "--conjecture", "3.13", "--to", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert "PERMLAB_BUDGET must be a positive integer, got 'zero'" in err
+        # a --budget on the command line leaves the variable unread
+        code, _, _ = run(capsys, "search", "--instance", str(path), "--budget", "5")
+        assert code == 0
 
 
 class TestFileRoundTrips:

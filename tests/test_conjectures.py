@@ -172,10 +172,6 @@ class TestRegistry:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == str(tuple(range(18)))
 
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family 'typo'"):
-            iter_params("3.13", 1, 3, family="typo")
-
     def test_exceptional_detection(self):
         # {-2,-1,1,2} is form (a); adding an unpaired value makes form (b)
         inst = instance("3.12i", {"n": 4, "seed": 0})
@@ -279,6 +275,20 @@ class TestRunInstance:
         # a subset of the group gets no such fallback
         rec = run_instance("3.5ii", {**params, "n": 35}, 10)
         assert (rec.status, rec.witness) == ("budget", None)
+
+    @pytest.mark.parametrize("g, moduli", [(1, (6, 6)), (3, (3, 12))])
+    def test_pair_walk_on_a_whole_group_is_capped(self, monkeypatch, g, moduli):
+        # the lex walk finds no pairing of these two whole groups, so at the
+        # default budget it stops after the cap's tries and b = -a answers
+        import permlab.conjectures as conjectures
+
+        monkeypatch.setattr(conjectures, "_WHOLE_GROUP_ANSWERS", {})
+        params = {"m": 36, "g": g, "n": 36, "seed": 0}
+        assert instance("3.5ii", params).ground.spec.moduli == moduli
+        rec = run_instance("3.5ii", params)
+        assert (rec.status, rec.nodes) == ("witness", conjectures._WHOLE_GROUP_PAIR_TRIES + 1)
+        assert rec.note.endswith("; b = -a")
+        assert replay_witness(rec)
 
     @pytest.fixture
     def kernel_runs(self, monkeypatch):
@@ -419,11 +429,6 @@ class TestVerifyRange:
         for rec in verify_range("thm1.6-range", 17, 60):
             assert rec.status == "witness", rec.params
             assert replay_witness(rec)
-
-    def test_exceptional_family(self):
-        recs = list(verify_range("3.12i", 1, 10, family="exceptional"))
-        assert len(recs) == 3
-        assert all(r.status == "exhausted" for r in recs)
 
 
 class TestConstructionSearchAgreement:

@@ -141,12 +141,28 @@ class TestSearchBasics:
         out = search(ints(*range(12)), CIRCULAR, rainbow("sum"), budget=10)
         assert out.status == "budget"
         assert out.nodes == 11
+        # a witness found at the last node the budget allows is a witness
+        nodes = search(ints(1, 2, 3, 4), CIRCULAR, predicate("prime")).nodes
+        out = search(ints(1, 2, 3, 4), CIRCULAR, predicate("prime"), budget=nodes)
+        assert (out.status, out.nodes) == ("witness", nodes)
+        out = search(ints(1, 2, 3, 4), CIRCULAR, predicate("prime"), budget=nodes - 1)
+        assert (out.status, out.nodes, out.witness) == ("budget", nodes, None)
 
     def test_singleton(self):
-        out = search(ints(7), CIRCULAR, rainbow("sum"))
-        assert out.status == "witness"
-        cnt, wits = brute_force_enumerate(ints(7), CIRCULAR, rainbow("sum"))
-        assert cnt == 1
+        # a single element is its own arrangement, found in one node, on
+        # either shape and under any clause or pin
+        cases = [
+            (ints(7), rainbow("sum")),
+            (ints(7), predicate("prime")),
+            (ints(7), rainbow("diff", first=7, last=7)),
+            (GroundSet(CyclicProduct((7,)), (3,)), rainbow("diff")),
+        ]
+        for (ground, cons), shape, counting in product(cases, (LINEAR, CIRCULAR), (False, True)):
+            out = search(ground, shape, cons, count_witnesses=counting)
+            assert (out.status, out.nodes) == ("witness", 1), (cons, shape)
+            assert out.witness == Arrangement(ground.spec, shape, ground.elements)
+            assert out.witness_count == (1 if counting else None)
+            assert brute_force_enumerate(ground, shape, cons)[0] == 1
 
     def test_two_cycle_sum_rainbow_impossible(self):
         out = search(ints(1, 2), CIRCULAR, rainbow("sum"))
