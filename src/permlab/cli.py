@@ -267,7 +267,8 @@ def cmd_search(args) -> int:
     if args.all_small:
         cnt, wits = brute_force_enumerate(ground, shape, constraint)
         doc["brute_force_count"] = cnt
-        doc["verdicts_agree"] = (out.status == "witness") == (cnt > 0)
+        agree = (out.status == "witness") == (cnt > 0)
+        doc["verdicts_agree"] = None if out.status == "budget" else agree
     print(json.dumps(doc, indent=2))
     if out.status == "witness":
         return EXIT_OK
@@ -491,7 +492,8 @@ def main(argv=None) -> int:
             print(f"error: {exc.code}", file=sys.stderr)
             return EXIT_USAGE
         raise
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # a bad value, or an --out that cannot be written: a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

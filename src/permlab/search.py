@@ -33,13 +33,14 @@ Pruning
 Prunes only skip subtrees that cannot complete, so they lower node counts
 and never change a first witness or a witness count.  Searches with
 predicate clauses and no rainbow clause remember the (unused set, tail)
-subproblems that failed.  Circular predicate searches on three or more
-elements also test, after each placement and in this order: a degree bound,
-that every unused vertex keeps a predecessor in unused + {tail} and a
-successor in unused + {start} that are two distinct vertices; a cycle
-cover, a perfect matching of {tail} + unused onto unused + {start} kept
-across the walk and repaired at each node (the rest of a circle is one);
-and reachability from the tail and back to the start.
+subproblems that failed.  Predicate searches whose circle has three or
+more vertices (a line's circle has a free start besides its elements, see
+Symmetry reduction) also test, after each placement and in this order: a
+degree bound, that every unused vertex keeps a predecessor in unused +
+{tail} and a successor in unused + {start} that are two distinct vertices;
+a cycle cover, a perfect matching of {tail} + unused onto unused + {start}
+kept across the walk and repaired at each node (the rest of a circle is
+one); and reachability from the tail and back to the start.
 
 The degree bound keeps two watched partners per vertex, as SAT solvers
 watch literals: a predecessor and a successor that meet the bound.
@@ -71,13 +72,17 @@ own) share neither function.
 
 Symmetry reduction
 ------------------
-Circular searches without pins fix the smallest element at position zero.
-When every clause is reversal symmetric (rainbow sum / distance / product,
-and predicates with a symmetric labeler) the orientation is additionally
-fixed by requiring the second element to be smaller than the last.  Pinned
-searches explore exactly the pinned space: a first pin is the start, and a
-circular search pinned only at the end tries every other element as the
-start, in ascending order.
+Every search walks one circle from one fixed start.  A circle starts at
+its first pin, else at its last pin, else at its smallest element, and
+the start is its first node.  A line of n elements is a circle of n + 1
+vertices through a free start, which is no element and no node: its edges
+go out to the first pin and in from the last pin, or to and from every
+element, and carry no label.  When every clause is reversal symmetric
+(rainbow sum / distance / product, and predicates with a symmetric
+labeler) an unpinned circle also fixes its orientation by requiring the
+second element to be smaller than the last.  Pins break both symmetries,
+so pinned searches explore exactly the pinned space, in the lex order of
+the arrangement.
 """
 
 from __future__ import annotations
@@ -689,8 +694,9 @@ def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names:
     rainbow_labels', made for all pairs at once.  For triple, pairs[x][y]
     is the pair sum of elems[x] and elems[y] (tuple sums keyed by small
     ints of their own) and rows[z] names its sum with elems[z].  The other
-    kinds label a window (x, y, z) by (y, z) alone: pairs[x][y] is y, and
-    rows[z][y] names the label of (elems[y], elems[z])."""
+    kinds label a window (x, y, z) by (y, z) alone: pairs[x][y] is y, also
+    for x = n, the free start of a line, and rows[z][y] names the label of
+    (elems[y], elems[z])."""
     kind = clause.kind
     m = clause.modulus
     n = len(elems)
@@ -719,7 +725,7 @@ def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names:
     if kind != RB_TRIPLE:
         for z, row in enumerate(rows):
             row.name_of = lambda y, z=z: label_name[keys[y][z]]
-        return 2, [list(range(n))] * n, rows
+        return 2, [list(range(n))] * (n + 1), rows
     # a triple label is the pair sum plus the third element, reduced mod m
     sums = list(key_of) if tuples else None  # the pair sums by key
 
@@ -819,7 +825,10 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element |
     """The tree walk of search() on two or more elements, with last the
     element pinned or forced last: (nodes, the first witness or None, the
     witnesses counted).  It stops at the first witness unless it counts,
-    and after budget + 1 nodes."""
+    and after budget + 1 nodes.  It walks one circle of N vertices from
+    path[0], the one start of the module docstring's Symmetry reduction:
+    one loop places positions 1 to N - 1 and, at the last, closes the
+    circle and accepts."""
     spec = ground.spec
     elems = sorted(ground.elements)
     n = len(elems)
@@ -833,21 +842,41 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element |
         for cl in constraint.clauses
         if isinstance(cl, RainbowClause)
     ]
-    # clauses_at[e] holds the (pairs, rows) of the clauses with a window
-    # that ends at position e of the path; a circle's windows that wrap
-    # around end at n and n + 1, where path[n:] repeats path[:2]
-    clauses_at = [[(p, r) for a, p, r in trackers if a <= e + 1] for e in range(n + 2)]
-    clauses_at[n + 1] = [(p, r) for a, p, r in trackers if a == 3]
+    # without predicate clauses every edge is allowed
     pclauses = [c for c in constraint.clauses if isinstance(c, PredicateClause)]
-    if pclauses:
-        out_mask, in_mask = _compile_adjacency(spec, elems, pclauses)
-    else:
-        out_mask = in_mask = None
+    out_mask, in_mask = _compile_adjacency(spec, elems, pclauses)
 
     first_idx = elems.index(constraint.first) if constraint.first is not None else None
     # a last forced by the label-sum stage is pinned here alone: check(),
     # the symmetry reduction and canonical_form see the caller's constraint
     last_idx = elems.index(last) if last is not None else None
+    # clauses_at[e] holds the (pairs, rows) of the clauses with a window
+    # that ends at position e of the path.  The arrangement is
+    # path[head:head + n]: it starts past a line's free start, and past the
+    # last pin that a circle is walked from, once path[N:] repeats path[:2]
+    head = 1
+    if not circular:
+        # the free start's edges go out to the first pin and in from the
+        # last pin, or to and from every element
+        N, start = n + 1, n
+        heads = (1 << n) - 1 if first_idx is None else 1 << first_idx
+        ends = (1 << n) - 1 if last_idx is None else 1 << last_idx
+        out_mask = [m | (ends >> i & 1) << n for i, m in enumerate(out_mask)] + [heads]
+        in_mask = [m | (heads >> i & 1) << n for i, m in enumerate(in_mask)] + [ends]
+        # a line's windows start at position 1, and none wraps around
+        clauses_at = [[(p, r) for a, p, r in trackers if a <= e] for e in range(N)] + [[], []]
+    else:
+        N = n
+        if first_idx is None and last_idx is not None:
+            # walked from its last pin, it meets its circles in the lex
+            # order of the elements that follow that pin
+            start, last_idx = last_idx, None
+        else:
+            start, head = 0 if first_idx is None else first_idx, 0
+        # a circle's windows that wrap around end at N and N + 1, where
+        # path[N:] repeats path[:2]
+        clauses_at = [[(p, r) for a, p, r in trackers if a <= e + 1] for e in range(N + 2)]
+        clauses_at[N + 1] = [(p, r) for a, p, r in trackers if a == 3]
 
     sym_reduce = (
         circular
@@ -856,56 +885,53 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element |
         and n >= 3
     )
 
-    nodes = 0
     found: Arrangement | None = None
     witnesses = 0
     # two spare slots past the end hold path[0] and path[1] again once the
     # circle closes, so the windows that wrap around read straight through
-    path = [0] * (n + 2)
-    full_mask = (1 << n) - 1
+    path = [0] * (N + 2)
+    full_mask = (1 << N) - 1
     # a last pin is no candidate before the last position, where it is the
     # one element left
     not_last = full_mask if last_idx is None else full_mask ^ (1 << last_idx)
     # the degree, cycle-cover and reachability prunes need cycles of length >= 3
-    prune = circular and out_mask is not None and n >= 3
+    prune = bool(pclauses) and N >= 3
     # Without rainbow state, whether a subtree can complete depends only on
     # (unused set, tail), so proven-dead subproblems are memoized and skipped
     # on revisit.  Sound: only failure is cached, never witnesses, so the
     # first witness (and any witness count) is unchanged.  The orientation
-    # filter consults path[1], which is folded into the key when active.  A
-    # circle closes back to path[0], so run() empties the memo whenever the
-    # start changes (a last pin alone): an entry made under one start could
-    # never be hit under another.
-    memo_failures = not trackers and out_mask is not None
+    # filter consults path[1], which is folded into the key when active.
+    memo_failures = not trackers and bool(pclauses)
     failed: set = set()
     # The cycle cover: a perfect matching of the sources {tail} + unused onto
     # the targets unused + {start}, as mt[source] = target and ms[target] =
     # source.  The rest of a circle is one, so a subtree without one is dead
     # (Hall's theorem).  Every write is logged as (source, old target,
     # target, old source), and a backtrack replays the log down to its mark.
-    mt = [-1] * n
-    ms = [-1] * n
+    mt = [-1] * N
+    ms = [-1] * N
     log: list = []
     # The degree prune's watches (see the module docstring): every unused u
     # watches a predecessor wp[u] in unused + {tail} and a successor ws[u]
     # in unused + {start}, with wp[u] != ws[u]; watch_p[v] and watch_s[v]
     # are the bitmasks of the vertices that watch v.  Every vertex starts
-    # out watching vertex 0 both ways, until run() re-watches it.
+    # out watching vertex 0 both ways, until the start's degree check
+    # re-watches it.
     if prune:
-        wp = [0] * n
-        ws = [0] * n
-        watch_p = [full_mask] + [0] * (n - 1)
+        wp = [0] * N
+        ws = [0] * N
+        watch_p = [full_mask] + [0] * (N - 1)
         watch_s = watch_p[:]
 
     def degree_prune_ok(unused, tail, broken) -> bool:
-        """Circular-mode fail-fast: every still-unused vertex needs a feasible
+        """Fail-fast: every still-unused vertex needs a feasible
         predecessor among unused + the current tail and a feasible successor
         among unused + the start, and at least two distinct partners; that
         is, a watch pair.  Re-watches the vertices in broken, taking the
         highest partners, and is False when one of them has no pair left.
         The others keep the watches they had, which are still valid."""
         pred_set = unused | 1 << tail
-        succ_set = unused | 1 << path[0]
+        succ_set = unused | 1 << start
         m = broken
         while m:
             u_bit = m & -m
@@ -969,17 +995,17 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element |
 
     def root_cover() -> bool:
         """Match every vertex to a successor, greedily and then by
-        augmentation: the cover at the root, whatever the start.  False
-        when there is none, so no start can close a circle."""
+        augmentation: the cover at the root.  False when there is none, so
+        no circle closes."""
         free = full_mask
-        for u in range(n):
+        for u in range(N):
             c = out_mask[u] & free
             if c:
                 b = c & -c
                 free ^= b
                 mt[u] = t = b.bit_length() - 1
                 ms[t] = u
-        for u in range(n):
+        for u in range(N):
             if mt[u] < 0:
                 t = augment(u, full_mask, free)
                 if t < 0:
@@ -1011,13 +1037,12 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element |
             ms[t] = u_old
 
     def reach_prune_ok(unused, tail) -> bool:
-        """Circular-mode fail-fast: the cycle must still thread tail -> all
-        unused -> start, so every unused vertex has to be reachable from the
-        tail through unused vertices only, and the start has to stay
-        reachable; symmetrically backwards.  Each sweep stops as soon as it
-        has reached its whole target set.  Sound, so the first witness is
-        unchanged; it only skips provably dead subtrees."""
-        start = path[0]
+        """Fail-fast: the cycle must still thread tail -> all unused ->
+        start, so every unused vertex has to be reachable from the tail
+        through unused vertices only, and the start has to stay reachable;
+        symmetrically backwards.  Each sweep stops as soon as it has reached
+        its whole target set.  Sound, so the first witness is unchanged; it
+        only skips provably dead subtrees."""
         for masks, frm, target in (
             (out_mask, tail, unused | 1 << start),
             (in_mask, start, unused | 1 << tail),
@@ -1039,139 +1064,101 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element |
                 seen = reached
         return True
 
-    def accept() -> bool:
-        """Called with a full path; returns True to stop the search."""
-        nonlocal found, witnesses
-        if found is None:
-            arr = Arrangement(spec, shape, tuple(elems[i] for i in path[:n]))
-            found = _rechecked(arr, constraint)
-        witnesses += 1
-        return not count_witnesses
-
-    def close(used) -> bool:
-        """Called with a full circular path and the labels in use: test the
-        wrap edge and the windows that wrap around, then accept; returns
-        True to stop the search."""
-        if out_mask is not None and not (out_mask[path[n - 1]] >> path[0] & 1):
-            return False
-        path[n:] = path[:2]
-        for e in (n, n + 1):
-            for pairs, rows in clauses_at[e]:
-                bit = 1 << rows[path[e]][pairs[path[e - 2]][path[e - 1]]]
-                if used & bit:
-                    return False
-                used |= bit
-        return accept()
-
-    def extend(unused) -> bool:
-        """Walk every completion of the path that holds path[0], depth first
-        and in candidate order; returns True to stop the search.  The walk
-        keeps an explicit stack of levels, (k, unused, candidates left,
-        labels in use, memo key, witnesses at entry, undo mark), so it has
-        no depth limit.  A level's candidates are a bitmask, taken lowest
-        set bit first; cands is None while the level at k is new."""
-        nonlocal nodes
-        k = 1
-        prev = path[0]
-        used = 0
-        key = None  # the root's subproblem is met once, so it is not memoized
-        cands = None
-        levels = []
-        while True:
-            if cands is None:
-                cands = unused if out_mask is None else out_mask[prev] & unused
-                last_pos = k == n - 1
-                if not last_pos:
-                    cands &= not_last
-                elif sym_reduce:
-                    cands = cands >> path[1] << path[1]
-                at_entry = witnesses
-                mark = len(log)
-            if not cands:
-                # every candidate at position k is done
-                if key is not None and witnesses == at_entry:
-                    if len(failed) >= _MEMO_CAP:
-                        failed.clear()
-                    failed.add(key)
-                if not levels:
-                    return False
-                k, unused, cands, used, key, at_entry, mark = levels.pop()
-                prev = path[k - 1]
-                last_pos = False
-                if prune:
-                    undo(mark)
-                continue
-            b = cands & -cands
-            cands ^= b
-            j = b.bit_length() - 1
-            nodes += 1
-            if nodes > budget:
-                return True
-            # the labels of the windows that end at k, one per clause that
-            # has one there (at k = 1 only the pair kinds, which ignore x)
-            x = path[k - 2]
-            u = used
-            for pairs, rows in clauses_at[k]:
-                bit = 1 << rows[j][pairs[x][prev]]
-                if u & bit:
-                    break
-                u |= bit
-            else:
-                path[k] = j
-                if last_pos:
-                    if close(u) if circular else accept():
-                        return True
-                    continue
-                nxt = unused ^ b
-                # prev leaves the predecessors (it is no longer the tail)
-                # and j the successors (it is no longer unused), so only
-                # the vertices that watch prev or j need new watches.
-                if not prune or (
-                    degree_prune_ok(nxt, j, (watch_p[prev] | watch_s[j]) & nxt)
-                    and cover_ok(prev, j, nxt | 1 << path[0])
-                    and reach_prune_ok(nxt, j)
-                ):
-                    child = None
-                    if memo_failures:
-                        child = (nxt, j, path[1]) if sym_reduce else (nxt, j)
-                    if child is None or child not in failed:
-                        levels.append((k, unused, cands, used, key, at_entry, mark))
-                        k += 1
-                        prev = j
-                        unused = nxt
-                        used = u
-                        key = child
-                        cands = None
-                        continue
-                if prune:
-                    undo(mark)
-
-    def run() -> None:
-        nonlocal nodes
-        if first_idx is not None:
-            starts = [first_idx]
-        elif circular and last_idx is None:
-            starts = [0]
-        else:
-            starts = [i for i in range(n) if i != last_idx]
-        covered = prune and root_cover()
-        for s in starts:
-            nodes += 1
-            if nodes > budget:
-                return
-            path[0] = s
-            unused = full_mask ^ (1 << s)
-            if circular:
-                failed.clear()
+    # The walk keeps an explicit stack of levels, (k, unused, candidates
+    # left, labels in use, memo key, witnesses at entry, undo mark), so it
+    # has no depth limit.  A level's candidates are a bitmask, taken lowest
+    # set bit first; cands is None while the level at k is new.
+    path[0] = prev = start
+    unused = full_mask ^ (1 << start)
+    # a circle's start is its first node; a line's free start is none
+    nodes = int(circular)
+    if prune and not (root_cover() and degree_prune_ok(unused, start, unused)):
+        return nodes, found, witnesses
+    k = 1
+    used = 0
+    key = None  # the root's subproblem is met once, so it is not memoized
+    cands = None
+    levels = []
+    while True:
+        if cands is None:
+            cands = out_mask[prev] & unused
+            last_pos = k == N - 1
+            if not last_pos:
+                cands &= not_last
+            elif sym_reduce:
+                cands = cands >> path[1] << path[1]
+            at_entry = witnesses
+            mark = len(log)
+        if not cands:
+            # every candidate at position k is done
+            if key is not None and witnesses == at_entry:
+                if len(failed) >= _MEMO_CAP:
+                    failed.clear()
+                failed.add(key)
+            if not levels:
+                break
+            k, unused, cands, used, key, at_entry, mark = levels.pop()
+            prev = path[k - 1]
+            last_pos = False
             if prune:
-                if not covered:
-                    return
-                if not degree_prune_ok(unused, s, unused):
+                undo(mark)
+            continue
+        b = cands & -cands
+        cands ^= b
+        j = b.bit_length() - 1
+        nodes += 1
+        if nodes > budget:
+            break
+        # the labels of the windows that end at k, one per clause that
+        # has one there (at k = 1 of a circle only the pair kinds, which
+        # ignore x)
+        x = path[k - 2]
+        u = used
+        for pairs, rows in clauses_at[k]:
+            bit = 1 << rows[j][pairs[x][prev]]
+            if u & bit:
+                break
+            u |= bit
+        else:
+            path[k] = j
+            if last_pos:
+                # close the circle: the edge back to the start, then the
+                # labels of the windows that wrap around
+                if out_mask[j] >> start & 1:
+                    path[N:] = path[:2]
+                    wrap = [1 << rows[path[e]][pairs[path[e - 2]][path[e - 1]]]
+                            for e in (N, N + 1) for pairs, rows in clauses_at[e]]
+                    if len(set(wrap)) == len(wrap) and not u & sum(wrap):
+                        if found is None:
+                            arr = tuple(elems[i] for i in path[head:head + n])
+                            found = _rechecked(Arrangement(spec, shape, arr), constraint)
+                        witnesses += 1
+                        if not count_witnesses:
+                            break
+                continue
+            nxt = unused ^ b
+            # prev leaves the predecessors (it is no longer the tail)
+            # and j the successors (it is no longer unused), so only
+            # the vertices that watch prev or j need new watches.
+            if not prune or (
+                degree_prune_ok(nxt, j, (watch_p[prev] | watch_s[j]) & nxt)
+                and cover_ok(prev, j, nxt | 1 << start)
+                and reach_prune_ok(nxt, j)
+            ):
+                child = None
+                if memo_failures:
+                    child = (nxt, j, path[1]) if sym_reduce else (nxt, j)
+                if child is None or child not in failed:
+                    levels.append((k, unused, cands, used, key, at_entry, mark))
+                    k += 1
+                    prev = j
+                    unused = nxt
+                    used = u
+                    key = child
+                    cands = None
                     continue
-            if extend(unused):
-                return
-
-    run()
+            if prune:
+                undo(mark)
     return nodes, found, witnesses
 
 

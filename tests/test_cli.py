@@ -213,6 +213,23 @@ class TestSearch:
         assert code == 3
         assert err.startswith("error:") and out == ""
 
+    def test_all_small_budget_is_no_verdict(self, capsys, tmp_path):
+        # brute force counts 2 circles, and the search stops at its budget
+        inst = {
+            "group": {"kind": "integers"},
+            "shape": "circular",
+            "ground": [[x] for x in range(1, 9)],
+            "constraint": {"clauses": [{"predicate": {"kind": "prime"}, "labeler": "sum"}]},
+        }
+        p = tmp_path / "filz8.json"
+        p.write_text(json.dumps(inst))
+        code, out, _ = run(capsys, "search", "--instance", str(p), "--all-small", "--budget", "2")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "budget"
+        assert doc["brute_force_count"] == 2
+        assert doc["verdicts_agree"] is None
+
     def test_all_small_capacity(self, capsys, tmp_path):
         inst = {
             "group": {"kind": "integers"},
@@ -463,6 +480,20 @@ class TestArgumentErrors:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "nope")
         assert code == 3
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing" / "x.jsonl")
+        for argv in (
+            ("construct", "thm1.2ii", "--n", "6", "--out", missing),
+            ("verify", "--conjecture", "3.13", "--from", "1", "--to", "2", "--out", missing),
+            ("fixtures", "--out", missing),
+            # a directory where the records file should be
+            ("verify", "--conjecture", "3.13", "--from", "1", "--to", "2",
+             "--out", str(tmp_path), "--resume"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 3, argv
+            assert err.startswith("error:") and "Traceback" not in err, argv
 
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,5 @@
-"""The comparison tools/same_answers.py makes, on made-up record lines: no
-campaign runs here."""
+"""The comparison tools/same_answers.py makes, on made-up record and fence
+lines: no campaign or search runs here."""
 
 import importlib.util
 import json
@@ -80,3 +80,44 @@ def test_long_values_are_cut():
     report, _ = same_answers.compare(parent, change)
     assert "differs first in 'witness': [[0], [1]] -> [[0], [1], [2]," in report[0]
     assert report[0].endswith("...")
+
+
+def _fence(search, nodes=10, status="witness", witness=(0, 1), count=None):
+    doc = {"search": search, "status": status, "nodes": nodes,
+           "witness": witness and list(witness), "count": count}
+    return f"fence {json.dumps(doc)}"
+
+
+def test_equal_fences():
+    lines = _lines(1) + [_fence("outcome a"), _fence("counted b", count=4)]
+    report, same = same_answers.compare(lines, list(lines))
+    assert same
+    assert report == ["predicate-circles seed 1: 1 parent and 1 change records; all equal",
+                      "kernel fences: 2 parent and 2 change searches; all equal"]
+
+
+def test_every_moved_fence_search_is_listed():
+    parent = _lines(1) + [_fence("a"), _fence("b", count=2), _fence("c"), _fence("d")]
+    change = _lines(1) + [_fence("a", nodes=7), _fence("b", count=3), _fence("c"),
+                          _fence("d", status="budget", witness=None)]
+    report, same = same_answers.compare(parent, change)
+    assert not same
+    # the records stay equal; the fence lines follow them, one per moved search
+    assert report == [
+        "predicate-circles seed 1: 1 parent and 1 change records; all equal",
+        "kernel fences: 4 parent and 4 change searches; 3 differ",
+        "  a: witness, 10 nodes, witness [0, 1] -> witness, 7 nodes, witness [0, 1]",
+        "  b: witness, 10 nodes, witness [0, 1], 2 counted -> "
+        "witness, 10 nodes, witness [0, 1], 3 counted",
+        "  d: witness, 10 nodes, witness [0, 1] -> budget, 10 nodes, witness null",
+    ]
+
+
+def test_a_fence_search_on_one_side_only():
+    report, same = same_answers.compare([_fence("a")], [_fence("a"), _fence("new")])
+    assert not same
+    assert report == ["kernel fences: 1 parent and 2 change searches; 1 differ",
+                      "  new: absent -> witness, 10 nodes, witness [0, 1]"]
+    report, same = same_answers.compare([_fence("gone")], [])
+    assert not same
+    assert report[1] == "  gone: witness, 10 nodes, witness [0, 1] -> absent"

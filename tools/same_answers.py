@@ -14,6 +14,14 @@ same search may disagree on.  This process compares the two outputs per
 workload and seed, prints the record counts and the first record and field
 that differ, and exits 1 on any difference, 0 when every record is equal.
 
+Each child also runs the kernel fences of <checkout>/tests/test_search.py:
+the searches of _outcome_fence_searches(), _counted_fence_searches() (with
+witness counting) and _DENSE_FENCE (at the fence's budget of 20,000
+nodes).  It prints one line per search, keyed by a readable description,
+with its status, nodes, first witness and witness count, and the compare
+prints every fence search that differs, parent -> change; a difference
+there also exits 1.
+
     python3 tools/same_answers.py --records CHECKOUT [--seed S ...]
 
 prints the lines of one checkout, as each child does.  Like
@@ -39,6 +47,48 @@ WORKLOADS = {
 SEEDS = (1, 2)
 
 
+def _describe(ground, shape, constraint) -> str:
+    """A readable key of one fence search: shape, ground, clauses, pins."""
+    clauses = []
+    for cl in constraint.clauses:
+        if hasattr(cl, "kind"):
+            clauses.append(f"rainbow {cl.kind}" + (f" mod {cl.modulus}" if cl.modulus else ""))
+        else:
+            a0 = f" a0={cl.a0!r}" if cl.a0 is not None else ""
+            clauses.append(f"{cl.predicate.describe()} on {cl.labeler}{a0}")
+    pins = "".join(f" {name}={pin!r}" for name, pin in
+                   (("first", constraint.first), ("last", constraint.last)) if pin is not None)
+    return f"{shape} {ground.spec!r} {list(ground.elements)} {' & '.join(clauses)}{pins}"
+
+
+def fence_lines(root: Path) -> list:
+    """The lines of one checkout's kernel fences: 'fence json' per search."""
+    sys.path.insert(0, str(root / "tests"))
+    import test_search
+    from permlab.conjectures import instance
+    from permlab.search import search
+
+    if root not in Path(test_search.__file__).resolve().parents:
+        raise SystemExit(f"imported {test_search.__file__}, not the tests of {root}")
+    runs = [(f"outcome {_describe(g, shape, cons)} budget {budget}", g, shape, cons,
+             {"budget": budget}) for g, shape, cons, budget in test_search._outcome_fence_searches()]
+    runs += [(f"counted {_describe(g, shape, cons)}", g, shape, cons, {"count_witnesses": True})
+             for g, shape, cons in test_search._counted_fence_searches()]
+    for cid, params in test_search._DENSE_FENCE:
+        inst = instance(cid, params)
+        # at the budget of TestDenseOutcomeFence
+        runs.append((f"dense {cid} {json.dumps(params)}", inst.ground, inst.shape,
+                     inst.constraint, {"budget": 20000}))
+    lines = []
+    for name, ground, shape, cons, kwargs in runs:
+        out = search(ground, shape, cons, **kwargs)
+        doc = {"search": name, "status": out.status, "nodes": out.nodes,
+               "witness": out.witness and list(out.witness.elements),
+               "count": out.witness_count}
+        lines.append(f"fence {json.dumps(doc)}")
+    return lines
+
+
 def records(checkout: Path, seeds) -> list:
     """The lines of one checkout: 'workload seed record-json' per record."""
     root = checkout.resolve()
@@ -57,7 +107,7 @@ def records(checkout: Path, seeds) -> list:
                     rec = conjectures.run_instance(cid, params, budget).to_dict()
                     del rec["elapsed_ms"]
                     lines.append(f"{workload} {seed} {json.dumps(rec)}")
-    return lines
+    return lines + fence_lines(root)
 
 
 def child_lines(checkout: Path, seeds) -> list:
@@ -76,6 +126,8 @@ def _grouped(lines) -> dict:
     out: dict = {}
     for line in lines:
         workload, seed, rec = line.split(" ", 2)
+        if workload == "fence":
+            continue
         out.setdefault((workload, int(seed)), []).append(json.loads(rec))
     return out
 
@@ -99,9 +151,42 @@ def first_difference(parent: list, change: list) -> str | None:
     return None
 
 
+def _fences(lines) -> dict:
+    """The fence searches of an output of records(), by description."""
+    out = {}
+    for line in lines:
+        if line.startswith("fence "):
+            doc = json.loads(line[len("fence "):])
+            out[doc.pop("search")] = doc
+    return out
+
+
+def _outcome(doc) -> str:
+    if doc is None:
+        return "absent"
+    count = "" if doc["count"] is None else f", {doc['count']} counted"
+    return f"{doc['status']}, {doc['nodes']} nodes, witness {_short(doc['witness'])}{count}"
+
+
+def fence_report(parent_lines, change_lines) -> list:
+    """One line for the kernel fences, then one per fence search that
+    differs, parent -> change; nothing when neither side ran a fence."""
+    parent, change = _fences(parent_lines), _fences(change_lines)
+    if not (parent or change):
+        return []
+    moved = [name for name in [*parent, *(k for k in change if k not in parent)]
+             if parent.get(name) != change.get(name)]
+    report = [f"kernel fences: {len(parent)} parent and {len(change)} change searches; "
+              + (f"{len(moved)} differ" if moved else "all equal")]
+    report += [f"  {name}: {_outcome(parent.get(name))} -> {_outcome(change.get(name))}"
+               for name in moved]
+    return report
+
+
 def compare(parent_lines, change_lines) -> tuple:
-    """(report lines, whether every record is equal) of two outputs of
-    records(), one report line per workload and seed."""
+    """(report lines, whether every record and fence search is equal) of
+    two outputs of records(): one report line per workload and seed, then
+    fence_report()'s."""
     parent, change = _grouped(parent_lines), _grouped(change_lines)
     report = []
     same = True
@@ -111,7 +196,9 @@ def compare(parent_lines, change_lines) -> tuple:
         same = same and diff is None
         report.append(f"{workload} seed {seed}: {len(p)} parent and {len(c)} change records; "
                       + ("all equal" if diff is None else diff))
-    return report, same
+    fences = fence_report(parent_lines, change_lines)
+    same = same and not fences[1:]
+    return report + fences, same
 
 
 def main(argv=None) -> int:
