@@ -738,8 +738,15 @@ def element_coords(spec: GroupSpec, x: Element) -> list[int]:
     return [x]
 
 
+def _json_int(value) -> int:
+    """value, if it is a JSON integer: no float, string or bool."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def element_from_coords(spec: GroupSpec, coords: list[int]) -> Element:
-    coords = [int(c) for c in coords]
+    coords = list(map(_json_int, coords))
     if isinstance(spec, PrimePowerField):
         if len(coords) != spec.k:
             raise ValueError(f"expected {spec.k} coordinates")
@@ -783,11 +790,11 @@ def spec_from_dict(d: dict) -> GroupSpec:
     if kind == "integers":
         return Integers()
     if kind == "integer_vectors":
-        return IntegerVectors(int(d["rank"]))
+        return IntegerVectors(_json_int(d["rank"]))
     if kind == "cyclic_product":
-        return CyclicProduct(tuple(int(m) for m in d["moduli"]))
+        return CyclicProduct(tuple(map(_json_int, d["moduli"])))
     if kind == "prime_field":
-        return PrimeField(int(d["p"]))
+        return PrimeField(_json_int(d["p"]))
     if kind == "prime_power_field":
-        return PrimePowerField(int(d["p"]), int(d["k"]), tuple(int(c) for c in d["poly"]))
+        return PrimePowerField(_json_int(d["p"]), _json_int(d["k"]), tuple(map(_json_int, d["poly"])))
     raise ValueError(f"unknown group kind {kind!r}")

@@ -25,6 +25,7 @@ from . import __version__
 from .algebra import (
     Arrangement,
     GroundSet,
+    _json_int,
     element_coords,
     element_from_coords,
     spec_from_dict,
@@ -122,8 +123,8 @@ def clause_from_dict(d: dict):
         return RainbowClause(d["rainbow"], d.get("modulus"))
     pred = PredicateSpec(d["predicate"]["kind"], tuple(d["predicate"].get("params", ())))
     a0 = d.get("a0")
-    if isinstance(a0, list):
-        a0 = tuple(a0)
+    if a0 is not None:
+        a0 = tuple(map(_json_int, a0)) if isinstance(a0, list) else _json_int(a0)
     return PredicateClause(pred, d["labeler"], a0=a0)
 
 

@@ -310,9 +310,9 @@ class PredicateSpec:
     def __post_init__(self):
         if self.kind not in _ARITY:
             raise ValueError(f"unknown predicate kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(int(x) for x in self.params))
-        if len(self.params) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} parameters")
+        object.__setattr__(self, "params", tuple(self.params))
+        if len(self.params) != _ARITY[self.kind] or any(type(x) is not int for x in self.params):
+            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} integer parameters")
         if self.kind == PRIME_SHIFT and self.params[0] < 1:
             raise ValueError("prime_shift slope must be >= 1")
         if self.kind in MODULAR_KINDS and self.params[0] < 3:

@@ -79,8 +79,10 @@ vertices through a free start, which is no element and no node: its edges
 go out to the first pin and in from the last pin, or to and from every
 element, and carry no label.  When every clause is reversal symmetric
 (rainbow sum / distance / product, and predicates with a symmetric
-labeler) an unpinned circle also fixes its orientation by requiring the
-second element to be smaller than the last.  Pins break both symmetries,
+labeler) an unpinned walk of three or more vertices also fixes its
+orientation: the vertex after the start must be below the vertex before
+it (a circle's second element, or a line's first, below its last), which
+the lex-first arrangement always meets.  Pins break both symmetries,
 so pinned searches explore exactly the pinned space, in the lex order of
 the arrangement.
 """
@@ -211,8 +213,8 @@ class RainbowClause:
     def __post_init__(self):
         if self.kind not in _RAINBOW_KINDS:
             raise ValueError(f"unknown rainbow kind {self.kind!r}")
-        if self.modulus is not None and self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
+        if self.modulus is not None and (type(self.modulus) is not int or self.modulus < 2):
+            raise ValueError(f"modulus must be an integer >= 2, got {self.modulus!r}")
 
     @property
     def symmetric(self) -> bool:
@@ -561,6 +563,8 @@ def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
     x = ground.elements[:1]
     for cl in constraint.clauses:
         if not isinstance(cl, RainbowClause):
+            if cl.a0 is not None:
+                validate_element(ground.spec, cl.a0)
             continue
         _label_one_window(ground.spec, cl, x)
         if cl.kind == RB_TRIPLE and shape == CIRCULAR and 1 < n < 3:
@@ -786,8 +790,9 @@ def search(
 ) -> SearchOutcome:
     """Find one arrangement satisfying the constraint, prove none exists, or
     stop at the node budget.  With count_witnesses the full tree is walked
-    and every completion under the active symmetry reduction is counted
-    (testing hook; the returned witness is then the first one found)."""
+    and the completions are counted as brute_force_enumerate counts them:
+    up to rotation and, under reversal-symmetric clauses, up to reversal,
+    lines included (a testing hook; the witness is then the first found)."""
     if budget < 1:
         raise ValueError("budget must be >= 1 node")
     _validate_instance(ground, shape, constraint)
@@ -878,12 +883,7 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element |
         clauses_at = [[(p, r) for a, p, r in trackers if a <= e + 1] for e in range(N + 2)]
         clauses_at[N + 1] = [(p, r) for a, p, r in trackers if a == 3]
 
-    sym_reduce = (
-        circular
-        and not constraint.pinned
-        and constraint.reversal_symmetric
-        and n >= 3
-    )
+    sym_reduce = not constraint.pinned and constraint.reversal_symmetric and N >= 3
 
     found: Arrangement | None = None
     witnesses = 0
@@ -1205,27 +1205,21 @@ def brute_force_enumerate(
 
 
 def canonical_form(arrangement: Arrangement, constraint: Constraint) -> Arrangement:
-    """Circular: rotate the minimum element to the front, and reflect to the
-    lexicographically smaller orientation when every clause is reversal
-    symmetric.  Linear: reflect likewise under reversal-symmetric clauses,
-    otherwise identity.  Pins are positional and break both symmetries, so
-    pinned arrangements are always canonical as given."""
-    if len(arrangement) == 1 or constraint.pinned:
+    """The representative of the arrangements the kernel counts as one: a
+    circle rotated to start at its minimum element and then, when every
+    clause is reversal symmetric, the lexicographically smaller of the
+    arrangement and its reversal (a circle's reversal keeps its start in
+    front).  Pins are positional and break both symmetries, so pinned
+    arrangements are always canonical as given."""
+    if constraint.pinned:
         return arrangement
-    if arrangement.shape == LINEAR:
-        if constraint.reversal_symmetric:
-            rev = arrangement.elements[::-1]
-            if rev < arrangement.elements:
-                return Arrangement(arrangement.spec, LINEAR, rev)
-        return arrangement
-    elems = arrangement.elements
-    k = elems.index(min(elems))
-    rotated = elems[k:] + elems[:k]
+    elems, keep = arrangement.elements, 0
+    if arrangement.shape == CIRCULAR:
+        k = elems.index(min(elems))
+        elems, keep = elems[k:] + elems[:k], 1
     if constraint.reversal_symmetric:
-        rev = rotated[:1] + rotated[1:][::-1]
-        if tuple(rev) < tuple(rotated):
-            rotated = rev
-    return Arrangement(arrangement.spec, arrangement.shape, tuple(rotated))
+        elems = min(elems, elems[:keep] + elems[keep:][::-1])
+    return Arrangement(arrangement.spec, arrangement.shape, elems)
 
 
 # --- paired numberings ------------------------------------------------------------

@@ -127,6 +127,21 @@ class TestCheck:
         assert code == 3
         assert "out of range" in err
 
+    @pytest.mark.parametrize("group, elements", [
+        ({"kind": "prime_field", "p": 11.7}, [[1], [2], [3], [4]]),
+        ({"kind": "integers"}, [[1], [2], [3.5], [4]]),
+        ({"kind": "integers"}, [[1], [2], ["3"], [4]]),
+        ({"kind": "integers"}, [[1], [True], [3], [4]]),
+    ], ids=["float-p", "float-element", "string-element", "bool-element"])
+    def test_file_numbers_are_json_integers(self, capsys, tmp_path, group, elements):
+        pa = tmp_path / "a.json"
+        pc = tmp_path / "c.json"
+        pa.write_text(json.dumps({"group": group, "shape": "linear", "elements": elements}))
+        pc.write_text(json.dumps({"clauses": [{"rainbow": "sum"}]}))
+        code, out, err = run(capsys, "check", "--arrangement", str(pa), "--constraint", str(pc))
+        assert code == 3
+        assert out == "" and "expected a JSON integer" in err
+
     def test_constraint_file(self, capsys, tmp_path):
         arr = {
             "group": {"kind": "integers"},
@@ -204,6 +219,26 @@ class TestSearch:
                "constraint": {"clauses": [{"predicate": {"kind": "quadratic_residue_mod", "params": [9]},
                                            "labeler": "sum"}]}}
               for group in ({"kind": "integers"}, {"kind": "cyclic_product", "moduli": [12]})),
+            # an a0 that is no element of the ground's group
+            *({"group": group, "shape": "circular", "ground": [[1], [2], [3]],
+               "constraint": {"clauses": [{"predicate": {"kind": "primitive_root_mod",
+                                                         "params": [11]},
+                                           "labeler": "affine_product", "a0": a0}]}}
+              for group, a0 in (({"kind": "integers"}, [1]), ({"kind": "integers"}, 1.5),
+                                ({"kind": "prime_field", "p": 11}, [1, 2]),
+                                ({"kind": "prime_field", "p": 11}, "z"))),
+            # files hold JSON integers: no float, string or bool is cut or read as one
+            {"group": {"kind": "integers"}, "shape": "linear", "ground": [[1], [2], [3.5]],
+             "constraint": {"clauses": [{"rainbow": "sum"}]}},
+            {"group": {"kind": "prime_field", "p": 11.7}, "shape": "linear",
+             "ground": [[1], [2], [3]], "constraint": {"clauses": [{"rainbow": "sum"}]}},
+            {"group": {"kind": "integer_vectors", "rank": 2.0}, "shape": "linear",
+             "ground": [[0, 1], [0, 2]], "constraint": {"clauses": [{"rainbow": "sum"}]}},
+            {"group": {"kind": "integers"}, "shape": "linear", "ground": [[1], [2], [3]],
+             "constraint": {"clauses": [{"rainbow": "sum", "modulus": 4.5}]}},
+            {"group": {"kind": "integers"}, "shape": "circular", "ground": [[1], [2], [3]],
+             "constraint": {"clauses": [{"predicate": {"kind": "coprime_to", "params": [6.5]},
+                                         "labeler": "sum"}]}},
         ],
     )
     def test_malformed_instance_is_usage_error(self, capsys, tmp_path, doc):
