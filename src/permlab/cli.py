@@ -223,14 +223,14 @@ def cmd_check(args) -> int:
             arr = arrangement_from_dict(json.load(fh))
         if args.conjecture:
             inst = instance(args.conjecture, _params_from_kv(args.params or []))
-            constraint = inst.constraint
+            report = inst.check(arr)
         else:
             with open(args.constraint, encoding="utf-8") as fh:
                 doc = json.load(fh)
             constraint = constraint_from_dict(
                 doc["constraint"] if "constraint" in doc else doc, arr.spec
             )
-        report = check(arr, constraint)
+            report = check(arr, constraint)
     except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

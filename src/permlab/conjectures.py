@@ -82,8 +82,10 @@ from .numtheory import PredicateSpec, is_prime, factorize, primes_upto
 from .search import (
     Constraint,
     DEFAULT_BUDGET,
+    CheckReport,
     PredicateClause,
     RainbowClause,
+    Violation,
     check,
     check_pair_numbering,
     search,
@@ -119,6 +121,16 @@ class Instance:
     note: str = ""
     mode: str = "search"  # a key of _RUNNERS: search | pair | two-phase | qr
     pinned_constraint: Constraint | None = None  # two-phase only
+
+    def check(self, arr: Arrangement) -> CheckReport:
+        """check() of arr against the constraint once arr permutes the
+        ground in the instance's shape; else one violation, clause_index None."""
+        g = self.ground
+        if ((arr.spec, arr.shape) == (g.spec, self.shape)
+                and sorted(arr.elements) == sorted(g.elements)):
+            return check(arr, self.constraint)
+        msg = f"not a {self.shape} arrangement of the instance's {len(g)}-element ground"
+        return CheckReport(False, (Violation(None, (), msg),))
 
 
 def record_key(conjecture_id: str, params: dict) -> tuple:
@@ -813,7 +825,7 @@ def _run_qr(cid: str, params: dict, inst: Instance, budget: int) -> Verification
         # existence: the exact search decides
         return _run_search(cid, params, inst, budget, ms=ms,
                            note="no generator with the shifted square in the target class")
-    report = check(arr, inst.constraint)
+    report = inst.check(arr)
     if not report.ok:
         raise RuntimeError(f"qr_cycle produced an invalid arrangement: {report.first.message}")
     return VerificationRecord(cid, params, "witness",
@@ -910,8 +922,7 @@ class GoldenFixture:
         return Arrangement(inst.ground.spec, inst.shape, elems)
 
     def passes(self) -> bool:
-        inst = instance(self.conjecture, self.params)
-        return check(self.arrangement(), inst.constraint).ok
+        return instance(self.conjecture, self.params).check(self.arrangement()).ok
 
 
 def golden_fixtures() -> list[GoldenFixture]:

@@ -85,7 +85,7 @@ def _sorted_distinct(values, what: str) -> list:
 # --- strictly decreasing gap chains ------------------------------------------
 
 
-def zigzag_distances(values, n_expected: int | None = None) -> Arrangement:
+def zigzag_distances(values) -> Arrangement:
     """Linear arrangement of strictly increasing values, starting at the
     smallest, whose adjacent absolute gaps are strictly decreasing (hence
     pairwise distinct): low and high ends are interleaved."""
@@ -94,8 +94,6 @@ def zigzag_distances(values, n_expected: int | None = None) -> Arrangement:
         raise ValueError("integer values required")
     if not all(map(lt, vals, islice(vals, 1, None))):
         raise ValueError("values must be strictly increasing and distinct")
-    if n_expected is not None and len(vals) != n_expected:
-        raise ValueError(f"expected {n_expected} values, got {len(vals)}")
     n = len(vals)
     if n == 0:
         raise ValueError("need at least one value")

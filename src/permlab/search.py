@@ -39,8 +39,9 @@ Symmetry reduction) also test, after each placement and in this order: a
 degree bound, that every unused vertex keeps a predecessor in unused +
 {tail} and a successor in unused + {start} that are two distinct vertices;
 a cycle cover, a perfect matching of {tail} + unused onto unused + {start}
-kept across the walk and repaired at each node (the rest of a circle is
-one); and reachability from the tail and back to the start.
+(the rest of a circle is one), built at the root by one augmenting search
+per vertex and repaired at each node by one; and reachability from the
+tail and back to the start.
 
 The degree bound keeps two watched partners per vertex, as SAT solvers
 watch literals: a predecessor and a successor that meet the bound.
@@ -994,41 +995,25 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element |
         return -1
 
     def root_cover() -> bool:
-        """Match every vertex to a successor, greedily and then by
-        augmentation: the cover at the root.  False when there is none, so
+        """The cover at the root: one augmentation per vertex, in order,
+        matches it to a successor.  False when one finds no free target, so
         no circle closes."""
         free = full_mask
         for u in range(N):
-            c = out_mask[u] & free
-            if c:
-                b = c & -c
-                free ^= b
-                mt[u] = t = b.bit_length() - 1
-                ms[t] = u
-        for u in range(N):
-            if mt[u] < 0:
-                t = augment(u, full_mask, free)
-                if t < 0:
-                    return False
-                free ^= 1 << t
+            t = augment(u, full_mask, free)
+            if t < 0:
+                return False
+            free ^= 1 << t
         log.clear()
         return True
 
     def cover_ok(prev, j, targets) -> bool:
         """Repair the parent's cover after placing prev -> j, which takes
         source prev and target j out; targets are the child's.  Keep it when
-        prev was matched to j; else match j's source a straight to prev's
-        target b when a -> b is an edge; else augment from a to b."""
+        prev was matched to j; else one augmentation from j's source to
+        prev's target, whose first step is the direct edge."""
         b = mt[prev]
-        if b == j:
-            return True
-        a = ms[j]
-        if out_mask[a] >> b & 1:
-            log.append((a, j, b, prev))
-            mt[a] = b
-            ms[b] = a
-            return True
-        return augment(a, targets, 1 << b) >= 0
+        return b == j or augment(ms[j], targets, 1 << b) >= 0
 
     def undo(mark):
         while len(log) > mark:

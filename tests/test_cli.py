@@ -102,6 +102,22 @@ class TestCheck:
         assert code == 1
         assert "positions" in out
 
+    @pytest.mark.parametrize("shape, elements, params", [
+        ("circular", [0, 1], "n=5"),
+        ("linear", [0, 5, 2, 3, 4, 1, 6], "n=6"),
+    ], ids=["too-few-elements", "line-for-a-circle"])
+    def test_arrangement_must_be_the_instances(self, capsys, tmp_path, shape, elements, params):
+        # both pass 3.13's clause as given: a check against a catalog
+        # instance also compares the ground set and the shape
+        doc = {"group": {"kind": "integers"}, "shape": shape, "elements": [[x] for x in elements]}
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run(
+            capsys, "check", "--arrangement", str(p), "--conjecture", "3.13", "--params", params,
+        )
+        assert code == 1
+        assert out.startswith("fail: ") and "ground" in out
+
     def test_malformed(self, capsys, tmp_path):
         bad = tmp_path / "garbage.json"
         bad.write_text("{not json")

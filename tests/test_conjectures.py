@@ -363,6 +363,11 @@ class TestRunInstance:
         with pytest.raises(RuntimeError, match=r"^qr_cycle produced an invalid arrangement: "
                                                r"label 7 at positions \(1, 2\) fails "):
             run_instance("thm1.6-range", {"q": 13, "op": 0, "target": 0})
+        # (0, 1) passes the clause, but the instance is the six nonzero squares
+        short = Arrangement(PrimeField(13), CIRCULAR, (0, 1))
+        monkeypatch.setattr(conjectures, "qr_cycle", lambda q, op, target: short)
+        with pytest.raises(RuntimeError, match=r"^qr_cycle produced an invalid arrangement: "):
+            run_instance("thm1.6-range", {"q": 13, "op": 0, "target": 0})
 
     def test_pair_mode_rejects_a_bad_numbering(self, monkeypatch):
         # over Z/7, a = (0, 1, 2, 3) and b = (1, 0, 2, 3) give the labels

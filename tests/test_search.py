@@ -637,8 +637,9 @@ class TestCycleCover:
         assert search(ground, LINEAR, cons).status == "witness"
 
     def test_augmenting_root(self):
-        # the greedy root matching leaves two sources unmatched, and the
-        # augmentations must end on two different free targets
+        # two of the root's augmentations find every successor taken and
+        # must re-route earlier matches to two different free targets, and
+        # seven repairs need more than the direct edge
         ground = ints(0, 1, 2, 3, 4, 5, 6, 7)
         cons = Constraint((PredicateClause(PredicateSpec("prime"), "sum"),))
         out = search(ground, CIRCULAR, cons, count_witnesses=True)
