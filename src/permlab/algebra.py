@@ -54,7 +54,6 @@ __all__ = [
     "group_cmp",
     "group_order",
     "group_elements",
-    "invariant_factors",
     "sylow2_cyclic",
     "validate_element",
     "validate_elements",
@@ -398,12 +397,6 @@ class FieldView:
     squares: frozenset
     nonsquares: frozenset
 
-    def add(self, x: int, y: int) -> int:
-        return group_add(self.spec, x, y)
-
-    def sub(self, x: int, y: int) -> int:
-        return group_sub(self.spec, x, y)
-
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
@@ -625,36 +618,15 @@ def field_spec_for(q: int) -> PrimeField | PrimePowerField:
     return PrimePowerField(p, k, _smallest_irreducible(p, k))
 
 
-# --- invariant factors ------------------------------------------------------
-
-
-def invariant_factors(moduli: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """Invariant-factor form d_1 | d_2 | ... | d_t of prod Z/m_i, ascending."""
-    by_prime: dict[int, list[int]] = {}
-    for m in moduli:
-        if m < 1:
-            raise ValueError(f"modulus {m} out of range")
-        if m == 1:
-            continue
-        for p, e in factorize(m):
-            by_prime.setdefault(p, []).append(e)
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    width = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, exps in by_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors.append(d)
-    return tuple(sorted(factors))
+# --- Sylow 2-subgroup -------------------------------------------------------
 
 
 def sylow2_cyclic(spec: CyclicProduct) -> bool:
-    """Whether the group's 2-part is a single cyclic factor: at most one
-    invariant factor is even."""
-    return sum(1 for d in invariant_factors(spec.moduli) if d % 2 == 0) <= 1
+    """Whether the group's Sylow 2-subgroup is cyclic.  The 2-part of
+    Z/m_1 x ... x Z/m_t is Z/2^a_1 x ... x Z/2^a_t, where 2^a_i is the
+    2-part of m_i, and that product is cyclic iff at most one a_i > 0, that
+    is, at most one m_i is even."""
+    return sum(m % 2 == 0 for m in spec.moduli) <= 1
 
 
 # --- arrangements -----------------------------------------------------------

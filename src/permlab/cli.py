@@ -174,23 +174,28 @@ def _parse_elements(raw: str) -> list[int]:
         raise SystemExit(f"--elements must be comma-separated integers, got {raw!r}")
 
 
+# each construction by name: the flag it reads, and its builder
 _CONSTRUCTIONS = {
-    "thm1.1": lambda args: zigzag_distances(sorted(_parse_elements(args.elements))),
-    "cor1.1": lambda args: prime_circle_distinct_distances(args.n),
-    "thm1.2i": lambda args: circular_distinct_diffs(args.n),
-    "thm1.2ii": lambda args: mod_distinct_diffs(args.n),
-    "thm1.3": lambda args: weighted_sum_cycle(_parse_elements(args.elements)),
-    "thm1.4": lambda args: triple_sum_cycle(_parse_elements(args.elements)),
-    "thm1.5": lambda args: reduced_residue_cycle(args.n),
-    "thm1.6": lambda args: qr_cycle(args.q, args.op, args.target),
-    "rem1.2": lambda args: repair_adjacent_sums(_parse_elements(args.elements)),
-    "rem3.11": lambda args: coprime_circle_odd(args.n),
+    "thm1.1": ("elements", lambda args: zigzag_distances(sorted(_parse_elements(args.elements)))),
+    "cor1.1": ("n", lambda args: prime_circle_distinct_distances(args.n)),
+    "thm1.2i": ("n", lambda args: circular_distinct_diffs(args.n)),
+    "thm1.2ii": ("n", lambda args: mod_distinct_diffs(args.n)),
+    "thm1.3": ("elements", lambda args: weighted_sum_cycle(_parse_elements(args.elements))),
+    "thm1.4": ("elements", lambda args: triple_sum_cycle(_parse_elements(args.elements))),
+    "thm1.5": ("n", lambda args: reduced_residue_cycle(args.n)),
+    "thm1.6": ("q", lambda args: qr_cycle(args.q, args.op, args.target)),
+    "rem1.2": ("elements", lambda args: repair_adjacent_sums(_parse_elements(args.elements))),
+    "rem3.11": ("n", lambda args: coprime_circle_odd(args.n)),
 }
 
 
 def cmd_construct(args) -> int:
+    flag, build = _CONSTRUCTIONS[args.what]
+    if getattr(args, flag) is None:
+        print(f"error: {args.what} needs --{flag}", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        arr = _CONSTRUCTIONS[args.what](args)
+        arr = build(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -325,6 +330,12 @@ def cmd_verify(args) -> int:
             + "\n  ".join(CONJECTURE_IDS),
             file=sys.stderr,
         )
+        return EXIT_USAGE
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.resume and not args.out:
+        print("error: --resume needs --out", file=sys.stderr)
         return EXIT_USAGE
     skip: set = set()
     sink = None

@@ -52,6 +52,7 @@ instances from (conjecture, params).
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -893,11 +894,14 @@ def verify_range(conjecture_id: str, lo: int, hi: int, *,
         params for params in iter_params(conjecture_id, lo, hi, seed)
         if not skip_keys or record_key(conjecture_id, params) not in skip_keys
     ]
-    if jobs <= 1:
+    # the pool forks all its workers at once, so it gets no more of them
+    # than there are instances or processors
+    workers = min(jobs, len(plan), os.cpu_count() or 1)
+    if workers <= 1:
         for params in plan:
             yield run_instance(conjecture_id, params, budget)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_instance, conjecture_id, params, budget) for params in plan]
         for fut in futures:
             yield fut.result()

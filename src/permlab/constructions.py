@@ -436,7 +436,7 @@ def qr_cycle(q: int, operation: str = "sum", target: str = "S") -> Arrangement |
         if not fv.is_primitive(g):
             continue
         g2 = fv.mul(g, g)
-        probe = fv.add(1, g2) if operation == "sum" else fv.sub(1, g2)
+        probe = (group_add if operation == "sum" else group_sub)(fv.spec, 1, g2)
         if probe in wanted:
             chosen = g
             break

@@ -22,10 +22,9 @@ rainbow clause whose windows leave at most two labels of its finite label
 space untaken.  Distinct labels that telescope to a known total leave out
 labels of a known sum, and when no such labels exist it answers
 `exhausted` with 0 nodes and a RootCertificate.  A linear diff clause
-through every label with a first pin may force the last element: the
-kernel then walks as if the last were pinned, while check(), the symmetry
-reduction and canonical_form keep the caller's constraint.  Both are
-sound, so first witnesses and witness counts stay, and node counts fall
+through every label with a first pin may force the last element, which
+the walk then takes as a last pin: every arrangement of the clause ends
+there, so first witnesses and witness counts stay, and node counts fall
 only where the stage answers or forces.
 
 Pruning
@@ -92,7 +91,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
 from itertools import chain, count, permutations, repeat
 from operator import add, mod, mul, sub
@@ -583,8 +582,8 @@ def _validate_instance(ground: GroundSet, shape: str, constraint: Constraint):
 def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
     """The root stage of search() on two or more elements: Gordon's
     label-sum argument, run once per rainbow clause.  Returns (certificate,
-    last): a RootCertificate when a clause has no arrangement, and the last
-    element, pinned or forced.
+    constraint): a RootCertificate when a clause has no arrangement, and the
+    constraint the walk takes, the caller's with a forced last pinned.
 
     A clause's w windows take distinct labels in its label space L: the
     group itself, less 0 for diff; Z/m under a modulus on integers.  So the
@@ -596,7 +595,7 @@ def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
     summed, as are distance and product clauses and unbounded labels.  A
     linear diff clause through a whole group (c = 0) needs first - last =
     sigma(L), so none exists when sigma(L) = 0, and with first pinned the
-    last is forced, for the kernel alone."""
+    last is forced."""
     spec = ground.spec
     n = len(ground)
     first, last = constraint.first, constraint.last
@@ -620,7 +619,7 @@ def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
         if c > 2:
             continue
         if c < 0:
-            return RootCertificate(ci, cl.kind, size, windows, None), None
+            return RootCertificate(ci, cl.kind, size, windows, None), constraint
         if shape == LINEAR and not diff:
             continue  # the sum of a path's labels depends on its order
         labels = group_elements(space)
@@ -640,9 +639,10 @@ def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
             # the labels are all of L, so first - last = sigma(L); the ground
             # is the whole group, so with first pinned that last is in it
             if sigma == zero:
-                return RootCertificate(ci, cl.kind, size, windows, None), None
+                return RootCertificate(ci, cl.kind, size, windows, None), constraint
             if first is not None:
                 last = group_add(spec, first, group_neg(spec, sigma))
+                constraint = replace(constraint, last=last)
             continue
         else:
             continue  # the sum of the labels depends on a free end
@@ -656,8 +656,8 @@ def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
             members = set(labels)
             found = any(y != x and y in members for x, y in zip(labels, rests))
         if not found:
-            return RootCertificate(ci, cl.kind, size, windows, left_out), None
-    return None, last
+            return RootCertificate(ci, cl.kind, size, windows, left_out), constraint
+    return None, constraint
 
 
 # pairs per label call when the kernel labels whole rows of pairs: enough
@@ -805,10 +805,9 @@ def search(
         nodes = witnesses = 1
         found = _rechecked(Arrangement(ground.spec, shape, ground.elements), constraint)
     else:
-        certificate, last = _label_sums(ground, shape, constraint)
+        certificate, walked = _label_sums(ground, shape, constraint)
         if certificate is None:
-            nodes, found, witnesses = _walk(ground, shape, constraint, last, budget,
-                                            count_witnesses)
+            nodes, found, witnesses = _walk(ground, shape, walked, budget, count_witnesses)
     if nodes > budget:
         status = "budget"
     else:
@@ -826,10 +825,10 @@ def _rechecked(arr: Arrangement, constraint: Constraint) -> Arrangement:
     return arr
 
 
-def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element | None,
-          budget: int, count_witnesses: bool) -> tuple:
-    """The tree walk of search() on two or more elements, with last the
-    element pinned or forced last: (nodes, the first witness or None, the
+def _walk(ground: GroundSet, shape: str, constraint: Constraint, budget: int,
+          count_witnesses: bool) -> tuple:
+    """The tree walk of search() on two or more elements, under the
+    constraint _label_sums returns: (nodes, the first witness or None, the
     witnesses counted).  It stops at the first witness unless it counts,
     and after budget + 1 nodes.  It walks one circle of N vertices from
     path[0], the one start of the module docstring's Symmetry reduction:
@@ -853,9 +852,7 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, last: Element |
     out_mask, in_mask = _compile_adjacency(spec, elems, pclauses)
 
     first_idx = elems.index(constraint.first) if constraint.first is not None else None
-    # a last forced by the label-sum stage is pinned here alone: check(),
-    # the symmetry reduction and canonical_form see the caller's constraint
-    last_idx = elems.index(last) if last is not None else None
+    last_idx = elems.index(constraint.last) if constraint.last is not None else None
     # clauses_at[e] holds the (pairs, rows) of the clauses with a window
     # that ends at position e of the path.  The arrangement is
     # path[head:head + n]: it starts past a line's free start, and past the

@@ -22,12 +22,12 @@ from permlab.algebra import (
     group_add,
     group_add_all,
     group_cmp,
+    group_elements,
     group_mul,
     group_mul_all,
     group_neg,
     group_neg_all,
     group_sub,
-    invariant_factors,
     spec_from_dict,
     spec_to_dict,
     sylow2_cyclic,
@@ -35,6 +35,7 @@ from permlab.algebra import (
     validate_elements,
 )
 from permlab.algebra import _ppf_mul_raw  # the product the field tables are built from
+from permlab.conjectures import _GROUPS_BY_ORDER
 from permlab.numtheory import factorize
 
 SPECS = [
@@ -220,12 +221,17 @@ def _reference_tables(spec):
     return generator, tuple(exp), tuple(log), squares, frozenset(range(1, q)) - squares
 
 
-class TestInvariantFactors:
-    def test_examples(self):
-        assert invariant_factors((2, 3)) == (6,)
-        assert invariant_factors((12, 60)) == (12, 60)
-        assert invariant_factors((2, 2)) == (2, 2)
-        assert invariant_factors((0 + 8, 4, 2)) == (2, 4, 8)
+class TestSylow2Cyclic:
+    def test_at_most_one_involution(self):
+        # an abelian 2-group is cyclic iff at most one x != 0 has 2x = 0
+        moduli_lists = [g for groups in _GROUPS_BY_ORDER.values() for g in groups]
+        moduli_lists += list(product((2, 3, 4, 6, 8, 12), repeat=3))
+        for moduli in moduli_lists:
+            spec = CyclicProduct(moduli)
+            zero = group_elements(spec)[0]
+            involutions = sum(x != zero and group_add(spec, x, x) == zero
+                              for x in group_elements(spec))
+            assert sylow2_cyclic(spec) == (involutions <= 1), moduli
 
     def test_sylow(self):
         assert sylow2_cyclic(CyclicProduct((4,)))

@@ -66,6 +66,16 @@ class TestConstruct:
         doc = json.loads(out)
         assert arrangement_to_dict(arrangement_from_dict(doc)) == doc
 
+    @pytest.mark.parametrize("what,flag", [
+        ("thm1.1", "--elements"), ("thm1.3", "--elements"), ("thm1.4", "--elements"),
+        ("rem1.2", "--elements"), ("cor1.1", "--n"), ("thm1.2i", "--n"),
+        ("thm1.2ii", "--n"), ("thm1.5", "--n"), ("rem3.11", "--n"), ("thm1.6", "--q"),
+    ])
+    def test_missing_flag_is_usage_error(self, capsys, what, flag):
+        code, out, err = run(capsys, "construct", what)
+        assert (code, out) == (3, "")
+        assert err == f"error: {what} needs {flag}\n"
+
 
 class TestCheck:
     @pytest.fixture()
@@ -398,6 +408,17 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert "unrecognized arguments: --family exceptional" in err
+
+    def test_resume_without_out_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--conjecture", "3.13", "--to", "2", "--resume")
+        assert (code, out, err) == (3, "", "error: --resume needs --out\n")
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--conjecture", "3.13", "--to", "2",
+                             "--jobs", jobs)
+        assert (code, out) == (3, "")
+        assert err == f"error: --jobs must be >= 1, got {jobs}\n"
 
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify", "--conjecture", "9.99")

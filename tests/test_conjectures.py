@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
 
 import permlab
+from permlab import conjectures
 from permlab.algebra import (
     CIRCULAR,
     LINEAR,
@@ -426,9 +428,43 @@ class TestVerifyRange:
     def test_parallel_matches_serial(self):
         ser = [r.to_dict() for r in verify_range("3.13", 1, 10)]
         par = [r.to_dict() for r in verify_range("3.13", 1, 10, jobs=3)]
+        assert len(ser) == len(par)
         for a, b in zip(ser, par):
             a.pop("elapsed_ms"), b.pop("elapsed_ms")
         assert ser == par
+
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        (500, 64, 3),  # no more workers than instances
+        (500, 2, 2),  # nor than processors
+        (2, 64, 2),
+        (500, None, None),  # an unknown processor count runs serially
+        (1, 64, None),
+    ])
+    def test_pool_size(self, monkeypatch, jobs, cpus, workers):
+        # a stand-in executor that records its size and runs tasks inline,
+        # so that no process is started
+        sizes = []
+
+        class Inline:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(conjectures, "ProcessPoolExecutor", Inline)
+        monkeypatch.setattr(conjectures.os, "cpu_count", lambda: cpus)
+        recs = list(verify_range("3.13", 1, 3, jobs=jobs))
+        assert [r.params["n"] for r in recs] == [1, 2, 3]
+        assert sizes == ([] if workers is None else [workers])
 
     def test_thm16_range_17_to_60(self):
         for rec in verify_range("thm1.6-range", 17, 60):

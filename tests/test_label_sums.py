@@ -8,7 +8,15 @@ from itertools import combinations, product
 
 import pytest
 
-from permlab.algebra import CIRCULAR, LINEAR, CyclicProduct, GroundSet, Integers
+from permlab.algebra import (
+    CIRCULAR,
+    LINEAR,
+    CyclicProduct,
+    GroundSet,
+    Integers,
+    element_coords,
+    element_from_coords,
+)
 from permlab.conjectures import _GROUPS_BY_ORDER, instance
 from permlab.search import (
     Constraint,
@@ -153,8 +161,36 @@ class TestForcedLast:
         assert out.witness.elements == (0, 1, 3, 2, 7, 10, 8, 4, 11, 5, 9, 6)
         assert out.nodes == 254
         assert out.certificate is None
-        # the caller's constraint is unchanged: the pin is the kernel's
+        # the walk takes the forced last as a pin, and the caller's
+        # constraint is still unchanged
         assert cons.last is None
+
+    @pytest.mark.parametrize("moduli", [(4,), (6,), (8,), (10,), (12,), (3, 4)])
+    def test_forcing_equals_pinning(self, moduli):
+        # a forced last is a plain last pin: last = first - sigma(G)
+        spec = CyclicProduct(moduli)
+        pool = _elements(moduli)
+        ground = GroundSet(spec, pool)
+        first = pool[1]
+        sigma = map(sum, zip(*(element_coords(spec, x) for x in pool)))
+        last = element_from_coords(spec, [(f - s) % m for f, s, m in zip(
+            element_coords(spec, first), sigma, moduli)])
+        forced = Constraint((RainbowClause("diff"),), first=first)
+        pinned = Constraint((RainbowClause("diff"),), first=first, last=last)
+        for count_witnesses in (False, True):
+            a = search(ground, LINEAR, forced, count_witnesses=count_witnesses)
+            b = search(ground, LINEAR, pinned, count_witnesses=count_witnesses)
+            assert (a.status, a.witness, a.nodes, a.witness_count) == \
+                (b.status, b.witness, b.nodes, b.witness_count)
+        assert a.status == "witness" and a.witness.elements[-1] == last
+
+    def test_zero_sigma_with_a_first_pin(self):
+        # the elements of Z/2 x Z/4 sum to 0, so no last is forced: the
+        # stage answers before the first node
+        ground = GroundSet(CyclicProduct((2, 4)), _elements((2, 4)))
+        out = search(ground, LINEAR, Constraint((RainbowClause("diff"),), first=(0, 1)))
+        assert out.status == "exhausted" and out.nodes == 0
+        assert out.certificate == RootCertificate(0, "diff", 7, 7, None)
 
     def test_zero_label_sum_leaves_no_last(self):
         # the elements of Z/3 x Z/3 sum to 0, so a line through all of them

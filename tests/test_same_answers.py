@@ -74,6 +74,23 @@ def test_missing_records_and_groups():
                          "the change has 1 more records")
 
 
+def _fixture(n, status="exhausted"):
+    rec = {"conjecture": "3.11", "params": {"n": n}, "status": status, "nodes": 0}
+    return f"fixture {json.dumps(rec)}"
+
+
+def test_fixtures_are_a_group_of_their_own():
+    parent = _lines(1) + [_fixture(7), _fixture(9)]
+    change = _lines(1) + [_fixture(7), _fixture(9, status="witness")]
+    report, same = same_answers.compare(parent, change)
+    assert not same
+    assert report == [
+        "predicate-circles seed 1: 1 parent and 1 change records; all equal",
+        "fixtures: 2 parent and 2 change records; record 2 (3.11 {\"n\": 9}) differs "
+        "first in 'status': \"exhausted\" -> \"witness\"",
+    ]
+
+
 def test_long_values_are_cut():
     parent = _lines(1)
     change = [_line("predicate-circles", 1, 1, witness=[[i] for i in range(40)])]

@@ -14,6 +14,11 @@ same search may disagree on.  This process compares the two outputs per
 workload and seed, prints the record counts and the first record and field
 that differ, and exits 1 on any difference, 0 when every record is equal.
 
+Each child also prints the records of `permlab fixtures`, one line per
+golden fixture, with whether it passes(), and one per known impossibility,
+run through run_counterexample at DEFAULT_BUDGET, without elapsed_ms; the
+compare reports them as a group of their own.
+
 Each child also runs the kernel fences of <checkout>/tests/test_search.py:
 the searches of _outcome_fence_searches(), _counted_fence_searches() (with
 witness counting) and _DENSE_FENCE (at the fence's budget of 20,000
@@ -89,6 +94,21 @@ def fence_lines(root: Path) -> list:
     return lines
 
 
+def fixture_lines(conjectures) -> list:
+    """The lines of `permlab fixtures`: 'fixture json' per golden fixture
+    and per known impossibility."""
+    lines = []
+    for g in conjectures.golden_fixtures():
+        doc = {"conjecture": g.conjecture, "params": g.params, "golden": g.name,
+               "passes": g.passes()}
+        lines.append(f"fixture {json.dumps(doc)}")
+    for cid, params, _ in conjectures.counterexample_fixtures():
+        rec = conjectures.run_counterexample(cid, params, conjectures.DEFAULT_BUDGET).to_dict()
+        del rec["elapsed_ms"]
+        lines.append(f"fixture {json.dumps(rec)}")
+    return lines
+
+
 def records(checkout: Path, seeds) -> list:
     """The lines of one checkout: 'workload seed record-json' per record."""
     root = checkout.resolve()
@@ -107,7 +127,7 @@ def records(checkout: Path, seeds) -> list:
                     rec = conjectures.run_instance(cid, params, budget).to_dict()
                     del rec["elapsed_ms"]
                     lines.append(f"{workload} {seed} {json.dumps(rec)}")
-    return lines + fence_lines(root)
+    return lines + fixture_lines(conjectures) + fence_lines(root)
 
 
 def child_lines(checkout: Path, seeds) -> list:
@@ -123,12 +143,19 @@ def child_lines(checkout: Path, seeds) -> list:
 
 
 def _grouped(lines) -> dict:
+    """The records of an output of records(), by (workload, seed), and the
+    fixture records under ("fixtures", None)."""
     out: dict = {}
     for line in lines:
-        workload, seed, rec = line.split(" ", 2)
-        if workload == "fence":
+        kind, rest = line.split(" ", 1)
+        if kind == "fence":
             continue
-        out.setdefault((workload, int(seed)), []).append(json.loads(rec))
+        if kind == "fixture":
+            key, rec = ("fixtures", None), rest
+        else:
+            seed, rec = rest.split(" ", 1)
+            key = (kind, int(seed))
+        out.setdefault(key, []).append(json.loads(rec))
     return out
 
 
@@ -185,8 +212,8 @@ def fence_report(parent_lines, change_lines) -> list:
 
 def compare(parent_lines, change_lines) -> tuple:
     """(report lines, whether every record and fence search is equal) of
-    two outputs of records(): one report line per workload and seed, then
-    fence_report()'s."""
+    two outputs of records(): one report line per workload and seed, one
+    for the fixtures, then fence_report()'s."""
     parent, change = _grouped(parent_lines), _grouped(change_lines)
     report = []
     same = True
@@ -194,7 +221,8 @@ def compare(parent_lines, change_lines) -> tuple:
         p, c = parent.get((workload, seed), []), change.get((workload, seed), [])
         diff = first_difference(p, c)
         same = same and diff is None
-        report.append(f"{workload} seed {seed}: {len(p)} parent and {len(c)} change records; "
+        group = workload if seed is None else f"{workload} seed {seed}"
+        report.append(f"{group}: {len(p)} parent and {len(c)} change records; "
                       + ("all equal" if diff is None else diff))
     fences = fence_report(parent_lines, change_lines)
     same = same and not fences[1:]
