@@ -5,7 +5,10 @@ table-based finite fields F_q for q = p**k up to 2**20.
 
 Element convention: rank-1 structures (Integers, PrimeField, rank-1
 CyclicProduct, and encoded field elements of PrimePowerField) use bare
-ints; everything else uses tuples of ints.
+ints; everything else uses tuples of ints.  An F_{p**k} element is the int
+whose base-p digits are its coefficients, split and joined by one codec
+(_digits, _from_digits).  The modulus is the first irreducible found by
+trial division up to degree k//2, which the 2**20 cap keeps cheap.
 
 Whole-sequence ops: group_add_all, group_neg_all, group_mul_all and
 validate_elements do over a sequence what their one-element namesakes do
@@ -125,6 +128,23 @@ class PrimePowerField:
     @property
     def q(self) -> int:
         return self.p**self.k
+
+
+def _digits(x: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of x, lowest first: its coefficients in F_{p**k}."""
+    out = []
+    for _ in range(k):
+        x, c = divmod(x, p)
+        out.append(c)
+    return out
+
+
+def _from_digits(digits, p: int) -> int:
+    """The int whose base-p digits, lowest first, are digits."""
+    x = 0
+    for c in reversed(digits):
+        x = x * p + c
+    return x
 
 
 GroupSpec = Integers | IntegerVectors | CyclicProduct | PrimeField | PrimePowerField
@@ -247,7 +267,8 @@ def group_add(spec: GroupSpec, x: Element, y: Element) -> Element:
         return tuple((a + b) % m for a, b, m in zip(x, y, spec.moduli))
     if isinstance(spec, PrimeField):
         return (x + y) % spec.p
-    return _ppf_add(spec, x, y)
+    p, k = spec.p, spec.k
+    return _from_digits([(a + b) % p for a, b in zip(_digits(x, p, k), _digits(y, p, k))], p)
 
 
 def group_neg(spec: GroupSpec, x: Element) -> Element:
@@ -261,13 +282,7 @@ def group_neg(spec: GroupSpec, x: Element) -> Element:
         return tuple(-a % m for a, m in zip(x, spec.moduli))
     if isinstance(spec, PrimeField):
         return -x % spec.p
-    p = spec.p
-    out, mul = 0, 1
-    for _ in range(spec.k):
-        out += (-x % p) * mul
-        x //= p
-        mul *= p
-    return out
+    return _from_digits([-a % spec.p for a in _digits(x, spec.p, spec.k)], spec.p)
 
 
 def group_sub(spec: GroupSpec, x: Element, y: Element) -> Element:
@@ -370,17 +385,6 @@ def group_cmp(spec: GroupSpec, x: Element, y: Element) -> int:
     return -1 if x < y else 1
 
 
-def _ppf_add(spec: PrimePowerField, x: int, y: int) -> int:
-    p = spec.p
-    out, mul = 0, 1
-    for _ in range(spec.k):
-        out += ((x + y) % p) * mul
-        x //= p
-        y //= p
-        mul *= p
-    return out
-
-
 # --- finite field tables ----------------------------------------------------
 
 
@@ -407,6 +411,8 @@ class FieldView:
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
+    """a * b mod the monic polynomial mod over F_p, ascending coefficients;
+    with b = [1], the remainder of a mod mod."""
     k = len(mod) - 1
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -419,58 +425,14 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> l
             prod[d] = 0
             for i in range(k):
                 prod[d - k + i] = (prod[d - k + i] - c * mod[i]) % p
-    out = prod[:k]
-    return out + [0] * (k - len(out))
-
-
-def _poly_pow_x(e: int, mod: tuple[int, ...], p: int) -> list[int]:
-    k = len(mod) - 1
-    result = [1] + [0] * (k - 1)
-    base = ([0, 1] + [0] * (k - 2))[:k] if k >= 2 else [0]
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        for d in range(len(r) - 1, len(b) - 2, -1):
-            if len(r) < len(b):
-                break
-            c = r[-1] * inv % p
-            shift = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[shift + i] = (r[shift + i] - c * bc) % p
-            trim(r)
-        a, b = b, r
-    return a
+    return (prod + [0] * k)[:k]
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    # x**(p**k) == x mod f, and x**(p**(k/r)) - x coprime to f for prime r | k
+    """Whether no monic polynomial of degree 1..k//2 divides poly (degree k)."""
     k = len(poly) - 1
-    xq = _poly_pow_x(p**k, poly, p)
-    target = [0, 1] + [0] * (k - 2)
-    if xq != target[:k]:
-        return False
-    for r in factorize(k).primes():
-        xe = _poly_pow_x(p ** (k // r), poly, p)
-        diff = [(c - t) % p for c, t in zip(xe, target[:k])]
-        g = _poly_gcd(diff, list(poly), p)
-        if len(g) != 1:
-            return False
-    return True
+    return all(any(_poly_mul_mod(list(poly), [1], _digits(c, p, d) + [1], p))
+               for d in range(1, k // 2 + 1) for c in range(p**d))
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -478,32 +440,16 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     c_0 + c_1 p + ... + c_{k-1} p^(k-1), that is lexicographically smallest
     comparing the high-coefficient-first tuple (c_{k-1}, ..., c_0).  Every
     field table and recorded witness rests on this presentation."""
-    total = p**k
-    for code in range(total):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        poly = tuple(coeffs) + (1,)
+    for code in range(p**k):
+        poly = (*_digits(code, p, k), 1)
         if poly[0] != 0 and _is_irreducible(poly, p):
             return poly
     raise AssertionError(f"no irreducible polynomial found for p={p}, k={k}")
 
 
 def _ppf_mul_raw(spec: PrimePowerField, x: int, y: int) -> int:
-    p = spec.p
-    a, b = [], []
-    for v, out in ((x, a), (y, b)):
-        for _ in range(spec.k):
-            out.append(v % p)
-            v //= p
-    prod = _poly_mul_mod(a, b, spec.poly, p)
-    out, mul = 0, 1
-    for c in prod:
-        out += c * mul
-        mul *= p
-    return out
+    p, k = spec.p, spec.k
+    return _from_digits(_poly_mul_mod(_digits(x, p, k), _digits(y, p, k), spec.poly, p), p)
 
 
 @lru_cache(maxsize=None)
@@ -600,19 +546,19 @@ def field_make(p: int, k: int = 1) -> FieldView:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if p**k > MAX_FIELD_SIZE:
-        raise ValueError(f"field size {p}**{k} exceeds {MAX_FIELD_SIZE}")
     return field_view(field_spec_for(p**k))
 
 
 def field_spec_for(q: int) -> PrimeField | PrimePowerField:
-    """The canonical GroupSpec for the field of size q: for q = p**k with
-    k >= 2, the modulus polynomial is the lexicographically smallest monic
-    irreducible of degree k over F_p."""
+    """The canonical GroupSpec for the field of size q <= 2**20, checked first:
+    for q = p**k with k >= 2, the modulus is the first monic irreducible in
+    _smallest_irreducible's code order."""
     f = factorize(q)
     if len(f.pairs) != 1:
         raise ValueError(f"{q} is not a prime power")
     p, k = f.pairs[0]
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {p}**{k} exceeds {MAX_FIELD_SIZE}")
     if k == 1:
         return PrimeField(p)
     return PrimePowerField(p, k, _smallest_irreducible(p, k))
@@ -700,11 +646,7 @@ class Arrangement:
 def element_coords(spec: GroupSpec, x: Element) -> list[int]:
     """Encode an element as its coordinate array (always a list of ints)."""
     if isinstance(spec, PrimePowerField):
-        out = []
-        for _ in range(spec.k):
-            out.append(x % spec.p)
-            x //= spec.p
-        return out
+        return _digits(x, spec.p, spec.k)
     if isinstance(x, tuple):
         return list(x)
     return [x]
@@ -722,11 +664,7 @@ def element_from_coords(spec: GroupSpec, coords: list[int]) -> Element:
     if isinstance(spec, PrimePowerField):
         if len(coords) != spec.k:
             raise ValueError(f"expected {spec.k} coordinates")
-        out, mul = 0, 1
-        for c in coords:
-            out += (c % spec.p) * mul
-            mul *= spec.p
-        return out
+        return _from_digits([c % spec.p for c in coords], spec.p)
     if isinstance(spec, IntegerVectors):
         expected = spec.rank
     else:

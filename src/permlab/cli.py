@@ -407,9 +407,10 @@ def cmd_fixtures(args) -> int:
         # a stored witness that fails its check proves nothing, so it gets
         # no record: the FAIL line and the exit code report it
         if sink and ok:
+            arr = g.arrangement()
             rec = VerificationRecord(
                 g.conjecture, g.params, "witness",
-                [element_coords(g.arrangement().spec, x) for x in g.arrangement().elements],
+                [element_coords(arr.spec, x) for x in arr.elements],
                 0, 0, note=f"stored witness {g.name}",
             )
             sink.write(json.dumps(rec.to_dict(), sort_keys=False) + "\n")
@@ -498,6 +499,8 @@ def main(argv=None) -> int:
         # value fails no other command
         if vars(args).get("budget", 0) is None:
             args.budget = default_budget()
+        elif vars(args).get("budget", 1) < 1:
+            raise SystemExit("budget must be >= 1 node")
         return args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -70,7 +70,6 @@ from .algebra import (
     Integers,
     PrimeField,
     element_coords,
-    element_from_coords,
     field_spec_for,
     field_view,
     group_elements,
@@ -368,7 +367,7 @@ def _odd_prime_cycle(ground, kind: str, labeler: str, bound: int):
 def _build_310(params: dict) -> Instance:
     q = params["q"]
     spec = field_spec_for(q)
-    a0 = element_from_coords(spec, element_coords(spec, params["a0"]))
+    a0 = params["a0"] % q
     clause = PredicateClause(PredicateSpec("primitive_root_mod", (q,)), "affine_product", a0=a0)
     return _circle(GroundSet(spec, tuple(range(1, q))), clause, ok=q > 7, note="needs q > 7")
 
@@ -919,11 +918,7 @@ class GoldenFixture:
 
     def arrangement(self) -> Arrangement:
         inst = instance(self.conjecture, self.params)
-        elems = tuple(
-            element_from_coords(inst.ground.spec, element_coords(inst.ground.spec, e))
-            for e in self.elements
-        )
-        return Arrangement(inst.ground.spec, inst.shape, elems)
+        return Arrangement(inst.ground.spec, inst.shape, self.elements)
 
     def passes(self) -> bool:
         return instance(self.conjecture, self.params).check(self.arrangement()).ok

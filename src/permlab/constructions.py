@@ -20,7 +20,8 @@ from .algebra import (
     CyclicProduct,
     GroupSpec,
     Integers,
-    field_make,
+    field_spec_for,
+    field_view,
     group_add,
     group_add_all,
     group_neg_all,
@@ -425,11 +426,7 @@ def qr_cycle(q: int, operation: str = "sum", target: str = "S") -> Arrangement |
         raise ValueError(f"target must be S or T, got {target!r}")
     if q % 2 == 0:
         raise ValueError("even q has no nonsquares; the split is degenerate")
-    f = factorize(q)
-    if len(f.pairs) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p, k = f.pairs[0]
-    fv = field_make(p, k)
+    fv = field_view(field_spec_for(q))
     wanted = fv.squares if target == "S" else fv.nonsquares
     chosen = None
     for g in range(2, q):

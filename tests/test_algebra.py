@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from itertools import product
 
@@ -34,9 +35,11 @@ from permlab.algebra import (
     validate_element,
     validate_elements,
 )
-from permlab.algebra import _ppf_mul_raw  # the product the field tables are built from
+from permlab import algebra
+# the irreducibility test and the product the field tables are built from
+from permlab.algebra import _is_irreducible, _ppf_mul_raw
 from permlab.conjectures import _GROUPS_BY_ORDER
-from permlab.numtheory import factorize
+from permlab.numtheory import factorize, is_prime
 
 SPECS = [
     Integers(),
@@ -161,6 +164,33 @@ class TestFields:
             field_make(2, 25)
         with pytest.raises(ValueError):
             field_make(6)
+
+    def test_size_cap_before_the_search(self, monkeypatch):
+        def search(p, k):
+            raise AssertionError(f"searched for a modulus of degree {k} over F_{p}")
+
+        monkeypatch.setattr(algebra, "_smallest_irreducible", search)
+        with pytest.raises(ValueError, match=r"field size 2\*\*34 exceeds 1048576"):
+            field_spec_for(2**34)
+
+    def test_presentation(self):
+        # the moduli every prime-power table and recorded witness rests on
+        qs = sorted(p**k for p in range(2, 1025) if is_prime(p)
+                    for k in range(2, 21) if p**k <= 1 << 20)
+        polys = [field_spec_for(q).poly for q in qs]
+        assert len(qs) == 242
+        assert hashlib.sha1(repr(polys).encode()).hexdigest() == \
+            "ab0b40537bad912d258e630253a06136aa97547b"
+
+    def test_irreducible_iff_no_root(self):
+        # a polynomial of degree 2 or 3 is reducible iff it has a linear factor
+        for p in (2, 3, 5, 7):
+            for k in (2, 3):
+                for coeffs in product(range(p), repeat=k):
+                    poly = (*coeffs, 1)
+                    has_root = any(sum(c * x**i for i, c in enumerate(poly)) % p == 0
+                                   for x in range(p))
+                    assert _is_irreducible(poly, p) == (not has_root), (p, poly)
 
     def test_field_mul_distributes(self):
         rng = random.Random(2)

@@ -420,6 +420,27 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert err == f"error: --jobs must be >= 1, got {jobs}\n"
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_writes_no_file(self, capsys, tmp_path, budget):
+        out_path = tmp_path / "x.jsonl"
+        code, out, err = run(capsys, "verify", "--conjecture", "3.13", "--to", "2",
+                             "--budget", budget, "--out", str(out_path))
+        assert (code, out, err) == (3, "", "error: budget must be >= 1 node\n")
+        assert not out_path.exists()
+
+    def test_budget_below_one_leaves_a_resumed_file_uncut(self, capsys, tmp_path):
+        out_path = tmp_path / "r.jsonl"
+        run(capsys, "verify", "--conjecture", "3.13", "--from", "1", "--to", "2",
+            "--out", str(out_path))
+        whole = out_path.read_text()
+        # a broken tail that a resume would cut
+        out_path.write_text(whole[: whole.rindex("status")])
+        before = out_path.read_bytes()
+        code, _, err = run(capsys, "verify", "--conjecture", "3.13", "--from", "1", "--to", "2",
+                           "--out", str(out_path), "--resume", "--budget", "0")
+        assert (code, err) == (3, "error: budget must be >= 1 node\n")
+        assert out_path.read_bytes() == before
+
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify", "--conjecture", "9.99")
         assert code == 3
@@ -541,6 +562,12 @@ class TestFixturesCommand:
         rows = read_jsonl(out_path)
         assert len(rows) == 18
         assert all(row.get("note") != "stored witness sums-primitive-mod11" for row in rows)
+
+    def test_budget_below_one_runs_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "fix.jsonl"
+        code, out, err = run(capsys, "fixtures", "--budget", "0", "--out", str(out_path))
+        assert (code, out, err) == (3, "", "error: budget must be >= 1 node\n")
+        assert not out_path.exists()
 
 
 class TestArgumentErrors:

@@ -138,3 +138,20 @@ def test_a_fence_search_on_one_side_only():
     report, same = same_answers.compare([_fence("gone")], [])
     assert not same
     assert report[1] == "  gone: witness, 10 nodes, witness [0, 1] -> absent"
+
+
+def _field(q, poly, generator=2, exp_sha1="ab"):
+    doc = {"q": q, "poly": poly, "generator": generator, "exp_sha1": exp_sha1}
+    return f"field {json.dumps(doc)}"
+
+
+def test_fields_are_a_group_of_their_own():
+    parent = _lines(1) + [_field(4, [1, 1, 1]), _field(8, [1, 1, 0, 1])]
+    change = _lines(1) + [_field(4, [1, 1, 1]), _field(8, [1, 0, 1, 1], exp_sha1="cd")]
+    report, same = same_answers.compare(parent, change)
+    assert not same
+    assert report == [
+        "predicate-circles seed 1: 1 parent and 1 change records; all equal",
+        "fields: 2 parent and 2 change records; record 2 (F_8) differs "
+        "first in 'poly': [1, 1, 0, 1] -> [1, 0, 1, 1]",
+    ]

@@ -19,6 +19,12 @@ golden fixture, with whether it passes(), and one per known impossibility,
 run through run_counterexample at DEFAULT_BUDGET, without elapsed_ms; the
 compare reports them as a group of their own.
 
+Each child also prints one line per prime power q <= 4096 with exponent
+>= 2: the modulus polynomial of F_q, the generator its tables are built
+over and a sha1 of the exp table, so that the two checkouts' field tables
+are compared with each other, not with a product of the checkout's own;
+the compare reports them as the group "fields".
+
 Each child also runs the kernel fences of <checkout>/tests/test_search.py:
 the searches of _outcome_fence_searches(), _counted_fence_searches() (with
 witness counting) and _DENSE_FENCE (at the fence's budget of 20,000
@@ -37,6 +43,7 @@ writes nothing in the checkouts.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -109,12 +116,27 @@ def fixture_lines(conjectures) -> list:
     return lines
 
 
+def field_lines(algebra, factorize) -> list:
+    """The lines of the prime-power fields up to 4096: 'field json' per field."""
+    lines = []
+    for q in range(4, 4097):
+        pairs = factorize(q).pairs
+        if len(pairs) == 1 and pairs[0][1] >= 2:
+            spec = algebra.field_spec_for(q)
+            fv = algebra.field_view(spec)
+            digest = hashlib.sha1(repr(fv.exp_table).encode()).hexdigest()
+            doc = {"q": q, "poly": list(spec.poly), "generator": fv.generator, "exp_sha1": digest}
+            lines.append(f"field {json.dumps(doc)}")
+    return lines
+
+
 def records(checkout: Path, seeds) -> list:
     """The lines of one checkout: 'workload seed record-json' per record."""
     root = checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from permlab import conjectures
+    from permlab import algebra, conjectures
+    from permlab.numtheory import factorize
 
     if root not in Path(conjectures.__file__).resolve().parents:
         raise SystemExit(f"imported {conjectures.__file__}, not the permlab of {root}")
@@ -127,7 +149,8 @@ def records(checkout: Path, seeds) -> list:
                     rec = conjectures.run_instance(cid, params, budget).to_dict()
                     del rec["elapsed_ms"]
                     lines.append(f"{workload} {seed} {json.dumps(rec)}")
-    return lines + fixture_lines(conjectures) + fence_lines(root)
+    return (lines + fixture_lines(conjectures) + field_lines(algebra, factorize)
+            + fence_lines(root))
 
 
 def child_lines(checkout: Path, seeds) -> list:
@@ -142,16 +165,21 @@ def child_lines(checkout: Path, seeds) -> list:
     return proc.stdout.splitlines()
 
 
+# line kind -> the group its lines are compared as, apart from the workloads
+_GROUPS = {"fixture": "fixtures", "field": "fields"}
+
+
 def _grouped(lines) -> dict:
-    """The records of an output of records(), by (workload, seed), and the
-    fixture records under ("fixtures", None)."""
+    """The records of an output of records(), by (workload, seed), the
+    fixture records under ("fixtures", None) and the field lines under
+    ("fields", None)."""
     out: dict = {}
     for line in lines:
         kind, rest = line.split(" ", 1)
         if kind == "fence":
             continue
-        if kind == "fixture":
-            key, rec = ("fixtures", None), rest
+        if kind in _GROUPS:
+            key, rec = (_GROUPS[kind], None), rest
         else:
             seed, rec = rest.split(" ", 1)
             key = (kind, int(seed))
@@ -170,8 +198,9 @@ def first_difference(parent: list, change: list) -> str | None:
     for i, (p, c) in enumerate(zip(parent, change)):
         if p != c:
             key = next(k for k in [*p, *(k for k in c if k not in p)] if p.get(k) != c.get(k))
-            return (f"record {i + 1} ({p.get('conjecture')} {_short(p.get('params'))}) differs "
-                    f"first in {key!r}: {_short(p.get(key))} -> {_short(c.get(key))}")
+            name = f"F_{p['q']}" if "q" in p else f"{p.get('conjecture')} {_short(p.get('params'))}"
+            return (f"record {i + 1} ({name}) differs first in {key!r}: "
+                    f"{_short(p.get(key))} -> {_short(c.get(key))}")
     if len(parent) != len(change):
         more = "parent" if len(parent) > len(change) else "change"
         return f"the {more} has {abs(len(parent) - len(change))} more records"
