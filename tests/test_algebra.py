@@ -35,7 +35,6 @@ from permlab.algebra import (
     validate_element,
     validate_elements,
 )
-from permlab import algebra
 # the irreducibility test and the product the field tables are built from
 from permlab.algebra import _is_irreducible, _ppf_mul_raw
 from permlab.conjectures import _GROUPS_BY_ORDER
@@ -169,7 +168,7 @@ class TestFields:
         def search(p, k):
             raise AssertionError(f"searched for a modulus of degree {k} over F_{p}")
 
-        monkeypatch.setattr(algebra, "_smallest_irreducible", search)
+        monkeypatch.setattr("permlab.algebra._smallest_irreducible", search)
         with pytest.raises(ValueError, match=r"field size 2\*\*34 exceeds 1048576"):
             field_spec_for(2**34)
 
