@@ -9,7 +9,9 @@ all cycles are circular arrangements):
              least and greatest elements adjacent (pinned endpoints)
   3.3        linear over a finite abelian group, distinct differences,
              designated first element; hypothesis n does not divide |G|,
-             or n even with cyclic 2-part
+             or n even with cyclic 2-part.  On the whole group this asks
+             for a sequencing; where the search spends its budget there,
+             constructions.symmetric_sequencing may answer instead
   3.4i/3.4ii cycle over a finite abelian group with distinct sums (i) or
              differences (ii); hypothesis n odd or n not dividing |G|
   3.5i       cycle with x + 2y labels distinct, |G| not divisible by 3
@@ -57,6 +59,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, islice
 from math import comb, prod
 
@@ -70,14 +73,18 @@ from .algebra import (
     Integers,
     PrimeField,
     element_coords,
+    element_from_coords,
     field_spec_for,
     field_view,
+    group_add,
+    group_add_all,
     group_elements,
     group_neg_all,
     group_order,
+    group_sub,
     sylow2_cyclic,
 )
-from .constructions import qr_cycle
+from .constructions import qr_cycle, symmetric_sequencing
 from .numtheory import PredicateSpec, is_prime, factorize, primes_upto
 from .search import (
     Constraint,
@@ -148,6 +155,8 @@ class VerificationRecord:
     elapsed_ms: int
     tool_version: str = TOOL_VERSION
     note: str = ""
+    method: str = ""  # "symmetric" for a witness of the walk after a budget
+    steps: int = 0  # that walk's steps
 
     def key(self) -> tuple:
         return record_key(self.conjecture, self.params)
@@ -164,6 +173,9 @@ class VerificationRecord:
         }
         if self.note:
             out["note"] = self.note
+        if self.method:
+            out["method"] = self.method
+            out["steps"] = self.steps
         return out
 
 
@@ -244,16 +256,38 @@ _GROUP_SEEDS = (0, 1, 2)
 
 
 def _resolve_group_subset(params: dict) -> tuple[tuple[int, ...], GroundSet]:
-    """(moduli, ground) from an {m, g, n, subset|seed} param map."""
-    groups = _GROUPS_BY_ORDER[params["m"]]
-    moduli = groups[_check_index("g", params.get("g", 0), len(groups))]
+    """(moduli, ground) from an {m, g, n, subset|seed} param map; seed is
+    read only when subset is absent."""
+    how = "subset" if "subset" in params else "seed"
+    return _group_ground(params.get("m"), params.get("g", 0), params.get("n"), how,
+                         params.get(how))
+
+
+# a campaign names each group ground under many ids and params (a seed-1
+# rainbow-groups round builds 4,872 grounds, 1,155 of them distinct), and
+# moduli and GroundSet are immutable, so each is built once per process
+@lru_cache(maxsize=4096)
+def _group_ground(m, g, n, how: str, i) -> tuple[tuple[int, ...], GroundSet]:
+    """(moduli, ground) of the n-subset of the catalog's g-th group of order
+    m that i picks, by its index (how = "subset") or as a seed ("seed")."""
+    if m is None:
+        raise ValueError("needs 'm', the group order")
+    if m not in _GROUPS_BY_ORDER:
+        raise ValueError(f"m = {m}: the catalog has groups of order "
+                         f"{min(_GROUPS_BY_ORDER)} to {max(_GROUPS_BY_ORDER)}")
+    if n is None:
+        raise ValueError("needs 'n', the ground size")
+    if i is None:
+        raise ValueError("needs 'seed' or 'subset'")
+    groups = _GROUPS_BY_ORDER[m]
+    moduli = groups[_check_index("g", g, len(groups))]
     spec = CyclicProduct(moduli)
     pool = group_elements(spec)
-    n = params["n"]
-    if "subset" in params:
-        subset = _nth_subset(pool, n, params["subset"])
+    _check_index("n", n, m + 1)
+    if how == "subset":
+        subset = _nth_subset(pool, n, i)
     else:
-        subset = _seeded_subset(params["seed"], pool, n)
+        subset = _seeded_subset(i, pool, n)
     return moduli, GroundSet(spec, subset)  # in pool order, so sorted
 
 
@@ -762,14 +796,58 @@ def _run_search(cid: str, params: dict, inst: Instance, budget: int,
     """Search, then turn the outcome into a record: the runner of plain
     existence questions, and the one search-to-record step of the others,
     which pass another constraint, the cost already spent and a note.
-    search() re-checks the witness it returns."""
-    out = search(inst.ground, inst.shape,
-                 inst.constraint if constraint is None else constraint, budget)
+    search() re-checks the witness it returns.  Where it spends its budget
+    on a sequencing of a whole group, the symmetric walk gets as many steps."""
+    if constraint is None:
+        constraint = inst.constraint
+    out = search(inst.ground, inst.shape, constraint, budget)
+    nodes, ms = nodes + out.nodes, ms + out.elapsed_ms
+    if out.status == "budget" and _is_sequencing(inst, constraint):
+        rec = _symmetric_record(cid, params, inst, constraint, budget, nodes, ms, note)
+        if rec is not None:
+            return rec
     witness = None
     if out.status == "witness":
         witness = _witness_coords(inst.ground.spec, out.witness.elements)
-    return VerificationRecord(cid, params, out.status, witness, nodes + out.nodes,
-                              ms + out.elapsed_ms, note=note)
+    return VerificationRecord(cid, params, out.status, witness, nodes, ms, note=note)
+
+
+def _is_sequencing(inst: Instance, constraint: Constraint) -> bool:
+    """Whether the instance asks for a line through a whole group with one
+    involution (even order, cyclic Sylow 2-subgroup) with one plain diff
+    clause: a sequencing, of which Gordon's theorem says one exists."""
+    ground = inst.ground
+    return (inst.shape == LINEAR and constraint.clauses == (RainbowClause("diff"),)
+            and _is_whole_group(ground) and len(ground) % 2 == 0
+            and sylow2_cyclic(ground.spec))
+
+
+def _symmetric_record(cid: str, params: dict, inst: Instance, constraint: Constraint,
+                      cap: int, nodes: int, ms: int, note: str) -> VerificationRecord | None:
+    """The witness record of symmetric_sequencing's walk of at most cap steps,
+    translated onto the constraint's pins; None where the walk finds none or
+    the pins differ by something other than the involution z, the difference
+    of every symmetric arrangement's ends."""
+    spec = inst.ground.spec
+    z = element_from_coords(spec, [m // 2 if m % 2 == 0 else 0 for m in spec.moduli])
+    first, last = constraint.first, constraint.last
+    if first is None and last is not None:
+        first = group_sub(spec, last, z)
+    if last is not None and last != group_add(spec, first, z):
+        return None
+    t0 = time.perf_counter()
+    arr, steps = symmetric_sequencing(spec, cap)
+    if arr is None:
+        return None
+    if first is not None:
+        arr = replace(arr, elements=group_add_all(spec, arr.elements, [first] * len(arr)))
+    report = replace(inst, constraint=constraint).check(arr)
+    if not report.ok:
+        raise RuntimeError(
+            f"symmetric_sequencing gave an invalid arrangement: {report.first.message}")
+    ms += int((time.perf_counter() - t0) * 1000)
+    return VerificationRecord(cid, params, "witness", _witness_coords(spec, arr.elements), nodes,
+                              ms, note=note, method="symmetric", steps=steps)
 
 
 # label tries of the lex-first pair walk on a whole group.  Over every

@@ -24,6 +24,7 @@ from .algebra import (
     field_view,
     group_add,
     group_add_all,
+    group_elements,
     group_neg_all,
     group_sub,
     is_ordered,
@@ -48,6 +49,7 @@ __all__ = [
     "prime_circle_distinct_distances",
     "circular_distinct_diffs",
     "mod_distinct_diffs",
+    "symmetric_sequencing",
     "weighted_sum_cycle",
     "triple_sum_cycle",
     "reduced_residue_cycle",
@@ -193,6 +195,71 @@ def mod_distinct_diffs(n: int) -> Arrangement:
     return _recheck(
         arr, Constraint((RainbowClause("diff", modulus=n),)), "mod_distinct_diffs"
     )
+
+
+# --- symmetric sequencings of whole groups -------------------------------------
+
+
+def symmetric_sequencing(spec: GroupSpec, cap: int) -> tuple[Arrangement | None, int]:
+    """(arrangement, steps): a linear arrangement of the whole finite group
+    with distinct adjacent differences, a sequencing, of the symmetric form
+    a_{N-1-i} = a_i + z for the group's one involution z, from a_0 = 0.
+
+    Only the first half is walked, depth first with candidates in
+    group_elements order.  It takes one element from each coset {x, x + z}
+    and uses each difference pair {d, -d} at most once; the mirrored half
+    then has differences -d in reverse, and the middle difference is z.
+    A step is one candidate from a free coset.  Returns (None, steps) after
+    cap steps or when no such half exists, and (None, 0) on a group that
+    does not have exactly one involution."""
+    elems = group_elements(spec)
+    n = len(elems)
+    index = {x: i for i, x in enumerate(elems)}
+    neg = [index[y] for y in group_neg_all(spec, elems)]
+    involutions = [i for i in range(1, n) if neg[i] == i]
+    if len(involutions) != 1:
+        return None, 0
+    z = involutions[0]
+    plus_z = [index[y] for y in group_add_all(spec, elems, [elems[z]] * n)]
+    coset_bit = [1 << min(i, plus_z[i]) for i in range(n)]
+    pair_bit = [1 << min(i, neg[i]) for i in range(n)]
+    rows: dict[int, list[int]] = {}  # prev -> the index of c - prev for every c
+    half = [0]
+    tried = [0]  # the next candidate at each open position
+    pairs_of = []  # the pair bit of each difference in half
+    cosets, pairs, steps = coset_bit[0], 0, 0
+    # a free coset's candidate c never differs from prev by 0 or z, as
+    # prev's coset {prev, prev + z} is taken
+    while len(half) < n // 2:
+        prev = half[-1]
+        row = rows.get(prev)
+        if row is None:
+            minus_prev = [elems[neg[prev]]] * n
+            row = rows[prev] = [index[y] for y in group_add_all(spec, elems, minus_prev)]
+        for c in range(tried[-1], n):
+            if cosets & coset_bit[c]:
+                continue
+            if steps == cap:
+                return None, steps
+            steps += 1
+            bit = pair_bit[row[c]]
+            if not pairs & bit:
+                tried[-1] = c + 1
+                half.append(c)
+                tried.append(0)
+                pairs_of.append(bit)
+                cosets |= coset_bit[c]
+                pairs |= bit
+                break
+        else:
+            tried.pop()
+            if not pairs_of:
+                return None, steps
+            cosets ^= coset_bit[half.pop()]
+            pairs ^= pairs_of.pop()
+    order = half + [plus_z[i] for i in reversed(half)]
+    arr = Arrangement(spec, LINEAR, tuple(elems[i] for i in order))
+    return _recheck(arr, Constraint((RainbowClause("diff"),)), "symmetric_sequencing"), steps
 
 
 # --- cycles with distinct x + 2y ----------------------------------------------

@@ -153,6 +153,20 @@ class TestCheck:
         assert code == 3
         assert "out of range" in err
 
+    @pytest.mark.parametrize("params, named", [
+        (["m=40", "n=3", "seed=0"], "m = 40: the catalog has groups of order 2 to 36"),
+        (["m=20", "n=3"], "needs 'seed' or 'subset'"),
+        (["n=3", "seed=0"], "needs 'm'"),
+        (["m=20", "n=30", "seed=0"], "n = 30 is out of range"),
+    ], ids=["m", "seed", "no-m", "n"])
+    def test_bad_group_parameter_is_named(self, capsys, n20, params, named):
+        code, out, err = run(
+            capsys, "check", "--arrangement", str(n20), "--conjecture", "3.3",
+            "--params", *params, "first=0",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {named}")
+
     @pytest.mark.parametrize("group, elements", [
         ({"kind": "prime_field", "p": 11.7}, [[1], [2], [3], [4]]),
         ({"kind": "integers"}, [[1], [2], [3.5], [4]]),

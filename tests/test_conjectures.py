@@ -34,7 +34,14 @@ from permlab.conjectures import (
     run_instance,
     verify_range,
 )
-from permlab.search import PredicateClause, brute_force_enumerate, check, search
+from permlab.search import (
+    Constraint,
+    PredicateClause,
+    RainbowClause,
+    brute_force_enumerate,
+    check,
+    search,
+)
 
 
 def replay_witness(rec: VerificationRecord) -> bool:
@@ -403,6 +410,139 @@ class TestRunInstance:
         for q, op, target in ((5, 0, 0), (5, 0, 1), (5, 1, 0), (7, 0, 0)):
             rec = run_instance("thm1.6-range", {"q": q, "op": op, "target": target})
             assert rec.status == "exhausted" and rec.nodes >= 1
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    monkeypatch.setattr(conjectures, "_WHOLE_GROUP_ANSWERS", {})
+
+
+def _whole(m, g=0, seed=1, first=0):
+    return {"m": m, "g": g, "n": m, "seed": seed, "first": first}
+
+
+class TestSymmetricSequencing:
+    """The symmetric walk answers a whole-group sequencing search that
+    spends its budget, and nothing else."""
+
+    DIFF = RainbowClause("diff")
+
+    def test_settles_a_budget_answer(self, fresh_memo, monkeypatch):
+        walks = []
+        walk = conjectures.symmetric_sequencing
+        monkeypatch.setattr(conjectures, "symmetric_sequencing",
+                            lambda *a: walks.append(a) or walk(*a))
+        recs = [run_instance("3.3", _whole(22, seed=s), 10_000) for s in (1, 2, 3)]
+        assert len(walks) == 1  # the later seed names reuse the record
+        for rec in recs:
+            assert (rec.status, rec.nodes, rec.method, rec.steps) == (
+                "witness", 10_001, "symmetric", 88)
+            assert replay_witness(rec)
+            d = rec.to_dict()
+            assert list(d)[-2:] == ["method", "steps"]
+            assert (d["method"], d["steps"]) == ("symmetric", 88)
+
+    def test_a_definite_answer_keeps_its_record(self, fresh_memo):
+        # whole Z/20 is a DFS witness at 5,241 nodes
+        rec = run_instance("3.3", _whole(20), 10_000)
+        assert (rec.status, rec.nodes, rec.method) == ("witness", 5_241, "")
+        assert "method" not in rec.to_dict() and "steps" not in rec.to_dict()
+
+    def test_a_walk_out_of_steps_keeps_the_budget(self, fresh_memo):
+        # whole Z/3 x Z/12 needs 79,894 steps
+        rec = run_instance("3.3", _whole(36, g=3), 10_000)
+        assert instance("3.3", rec.params).ground.spec.moduli == (3, 12)
+        assert (rec.status, rec.witness, rec.method) == ("budget", None, "")
+        assert "method" not in rec.to_dict()
+        rec = run_instance("3.3", _whole(36, g=3), 80_000)
+        assert (rec.status, rec.steps) == ("witness", 79_894) and replay_witness(rec)
+
+    def test_only_whole_group_sequencings(self, fresh_memo):
+        # a subset, a sum line and a line of two clauses each keep their budget
+        rec = run_instance("3.3", {"m": 22, "g": 0, "n": 21, "seed": 1, "first": 0}, 10)
+        assert (rec.status, rec.method) == ("budget", "")
+        inst = instance("3.3", _whole(22))
+        for clauses in ((RainbowClause("sum"),), (self.DIFF, RainbowClause("sum"))):
+            other = replace(inst, constraint=Constraint(clauses))
+            assert conjectures._run_search("3.3", {}, other, 10).status == "budget"
+
+    def test_a_pinned_first_is_honoured(self, fresh_memo):
+        rec = run_instance("3.3", _whole(22, first=5), 10_000)
+        assert (rec.status, rec.method) == ("witness", "symmetric")
+        assert (rec.witness[0], rec.witness[-1]) == ([5], [16])
+        assert replay_witness(rec)
+
+    @pytest.mark.parametrize("first, last, ends", [
+        (None, 3, (14, 3)), (4, 15, (4, 15)), (None, None, (0, 11))])
+    def test_the_searched_constraint_is_met(self, first, last, ends):
+        inst = instance("3.3", _whole(22))
+        constraint = Constraint((self.DIFF,), first=first, last=last)
+        rec = conjectures._run_search("3.3", {}, inst, 100, constraint)
+        assert (rec.status, rec.nodes, rec.method) == ("witness", 101, "symmetric")
+        assert (rec.witness[0], rec.witness[-1]) == ([ends[0]], [ends[1]])
+        arr = Arrangement(inst.ground.spec, LINEAR, tuple(c[0] for c in rec.witness))
+        assert check(arr, constraint).ok
+
+    def test_pins_apart_by_other_than_the_involution(self):
+        # the root deduction answers such a search exhausted, so the walk
+        # is only asked directly
+        inst = instance("3.3", _whole(22))
+        constraint = Constraint((self.DIFF,), first=4, last=14)
+        assert search(inst.ground, LINEAR, constraint, 100).status == "exhausted"
+        assert conjectures._symmetric_record("3.3", {}, inst, constraint, 100, 101, 0, "") is None
+
+    def test_an_invalid_walk_builds_no_record(self, monkeypatch):
+        inst = instance("3.3", _whole(22))
+        bad = Arrangement(inst.ground.spec, LINEAR, tuple(range(22)))
+        monkeypatch.setattr(conjectures, "symmetric_sequencing", lambda spec, cap: (bad, 1))
+        with pytest.raises(RuntimeError, match="invalid arrangement"):
+            conjectures._run_search("3.3", {}, inst, 100)
+
+    def test_two_campaigns_give_the_same_records(self, monkeypatch):
+        def campaign():
+            monkeypatch.setattr(conjectures, "_WHOLE_GROUP_ANSWERS", {})
+            recs = [r.to_dict() for r in verify_range("3.3", 22, 22, budget=10_000)]
+            for r in recs:
+                r.pop("elapsed_ms")
+            return recs
+
+        first = campaign()
+        assert [r.get("method") for r in first if r["params"]["n"] == 22] == ["symmetric"] * 3
+        assert campaign() == first
+
+
+class TestGroupGround:
+    """Each group ground is built once per process."""
+
+    def test_the_cache_gives_what_a_build_gives(self):
+        ground = conjectures._group_ground
+        for cid in ("3.3", "3.4i", "3.4ii", "3.5i", "3.6"):
+            for seed in (1, 2):
+                for p in iter_params(cid, 9, 36, seed):
+                    how = "subset" if "subset" in p else "seed"
+                    key = (p["m"], p.get("g", 0), p["n"], how, p[how])
+                    assert instance(cid, p).ground == ground.__wrapped__(*key)[1]
+                    assert ground(*key) is ground(*key)
+        info = ground.cache_info()
+        assert info.maxsize == 4096 and info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("params, message", [
+        ({"m": 40, "n": 3, "seed": 0}, "m = 40: the catalog has groups of order 2 to 36"),
+        ({"n": 3, "seed": 0}, "needs 'm'"),
+        ({"m": 20, "seed": 0}, "needs 'n'"),
+        ({"m": 20, "n": 3}, "needs 'seed' or 'subset'"),
+        ({"m": 20, "n": 30, "seed": 0}, "n = 30 is out of range"),
+        ({"m": 20, "g": 1, "n": 3, "seed": 0}, "g = 1 is out of range"),
+    ])
+    def test_a_bad_parameter_is_named(self, params, message):
+        before = conjectures._group_ground.cache_info().currsize
+        with pytest.raises(ValueError, match=message):
+            instance("3.4i", params)
+        assert conjectures._group_ground.cache_info().currsize == before
+
+    def test_seed_is_read_only_without_subset(self):
+        p = {"m": 7, "g": 0, "n": 3, "subset": 4}
+        assert instance("3.4i", {**p, "seed": 1}).ground == instance("3.4i", p).ground
 
 
 class Test32Protocol:

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlab.algebra import CIRCULAR, Integers, IntegerVectors
+from permlab.algebra import (
+    CIRCULAR,
+    LINEAR,
+    Arrangement,
+    CyclicProduct,
+    Integers,
+    IntegerVectors,
+    group_elements,
+    sylow2_cyclic,
+)
+from permlab.conjectures import _GROUPS_BY_ORDER, instance
 from permlab.constructions import (
     _repair_tagged,
     _sorted_distinct,
@@ -17,6 +27,7 @@ from permlab.constructions import (
     qr_cycle,
     reduced_residue_cycle,
     repair_adjacent_sums,
+    symmetric_sequencing,
     triple_sum_cycle,
     weighted_sum_cycle,
     zigzag_distances,
@@ -113,6 +124,66 @@ class TestModDistinctDiffs:
     def test_odd_rejected(self):
         with pytest.raises(ValueError, match="even"):
             mod_distinct_diffs(5)
+
+
+class TestSymmetricSequencing:
+    SEQUENCING = Constraint((RainbowClause("diff"),))
+
+    def test_every_catalog_group_with_one_involution(self):
+        # Gordon: a sequencing exists iff the Sylow 2-subgroup is cyclic
+        # and nontrivial, that is, iff the group has exactly one involution
+        found = []
+        for m, groups in _GROUPS_BY_ORDER.items():
+            for moduli in groups:
+                spec = CyclicProduct(moduli)
+                arr, steps = symmetric_sequencing(spec, 10**5)
+                if m % 2 or not sylow2_cyclic(spec):
+                    assert (arr, steps) == (None, 0), moduli
+                    continue
+                found.append(moduli)
+                assert arr.shape == LINEAR and arr.elements[0] == group_elements(spec)[0]
+                assert sorted(arr.elements) == group_elements(spec)
+                assert check(arr, self.SEQUENCING).ok, moduli
+                assert 0 <= steps <= 10**5
+        assert found == ([(m,) for m in range(2, 19, 2)] + [(3, 3, 2)]
+                         + [(m,) for m in range(20, 37, 2)] + [(3, 12)])
+
+    def test_steps(self):
+        steps = {m: symmetric_sequencing(CyclicProduct((m,)), 10**4)[1] for m in range(22, 37, 2)}
+        assert steps == {22: 88, 24: 80, 26: 387, 28: 52, 30: 70, 32: 3169, 34: 1729, 36: 139}
+        assert symmetric_sequencing(CyclicProduct((3, 12)), 10**5)[1] == 79_894
+
+    def test_cap(self):
+        # whole Z/3 x Z/12 needs 79,894 steps
+        assert symmetric_sequencing(CyclicProduct((3, 12)), 10**4) == (None, 10**4)
+        assert symmetric_sequencing(CyclicProduct((32,)), 3168) == (None, 3168)
+        assert symmetric_sequencing(CyclicProduct((32,)), 3169)[0] is not None
+
+    def test_symmetric_form(self):
+        arr, _ = symmetric_sequencing(CyclicProduct((26,)), 10**4)
+        a = arr.elements
+        assert a[-1] == 13 and all((x + 13) % 26 == y for x, y in zip(a, reversed(a)))
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_brute_force_agrees(self, m):
+        spec = CyclicProduct((m,))
+        ground = GroundSet(spec, tuple(range(m)))
+        count, witnesses = brute_force_enumerate(
+            ground, LINEAR, Constraint((RainbowClause("diff"),), first=0))
+        arr, _ = symmetric_sequencing(spec, 10**4)
+        assert count > 0
+        assert arr.elements in {w.elements for w in witnesses}
+
+    @pytest.mark.parametrize("m", range(22, 37, 2))
+    def test_closed_form_reference(self, m):
+        # mod_distinct_diffs(m) less its first element is
+        # (0, -1, 1, -2, 2, ..., m/2), another symmetric sequencing, which
+        # the 3.3 instance of whole Z/m accepts as the walk's output
+        ref = tuple((x - m // 2) % m for x in mod_distinct_diffs(m).elements)
+        assert ref[:3] == (0, m - 1, 1) and ref[-1] == m // 2
+        inst = instance("3.3", {"m": m, "g": 0, "n": m, "seed": 0, "first": 0})
+        assert inst.check(Arrangement(inst.ground.spec, LINEAR, ref)).ok
+        assert inst.check(symmetric_sequencing(inst.ground.spec, 10**4)[0]).ok
 
 
 WEIGHTED_CASES = {
