@@ -54,21 +54,29 @@ it takes away next.
 Label arithmetic
 ----------------
 Labels are defined once, in rainbow_labels and predicate_labels over
-algebra.py's whole-sequence ops.  When a search starts, the kernel calls
-them on columns that hold blocks of whole rows of ordered pairs: each
-rainbow clause gets a row of pair labels per element, and each predicate
-clause a row of truths per element, its adjacency bitmask.  Every rainbow
-label is named by a small int from one namer per search when a window
-that has it is first read, so that no two clauses share a name and the
-names count only the labels the search visits.  The labels in use are
+algebra.py's whole-sequence ops.  Each predicate clause gets a row of
+truths per element, its adjacency bitmask, from predicate_labels called on
+columns that hold blocks of whole rows of ordered pairs.  Every window
+(a, b, c) of a rainbow clause reads the name of its label as
+rows[c][pairs[a][b]]: for triple, pairs holds the keys of the pair sums,
+and for the pair kinds pairs[a][b] is the key of b.  A sum, diff, weighted
+or triple clause without a modulus over a group or field of order at most
+256 reads the group's addition table, built once per process by
+group_add_all on every pair of group_elements: a key is an element's
+index in that list, a row is a bytes row of the table, and a label's name
+is its index in a block of order names the clause reserves from the one
+namer of the search.  Every other rainbow label is named from that namer
+when a window that has it is first read, so that the names count only the
+labels the search visits; over the integers without a modulus, where
+nearly all labels differ, the pair itself is labelled on its first read,
+and elsewhere all pairs are labelled in blocks of whole rows when the
+search starts.  So no two clauses share a name.  The labels in use are
 tracked as the bits 1 << name of one int, saved with each level of the
-walk and restored on backtrack.  Every window (a, b, c) reads its name
-as rows[c][pairs[a][b]]: for triple, pairs holds the pair sums, and for
-the pair kinds pairs[a][b] is b.  check() calls the
-same two functions on columns of the arrangement's windows; its
-distinctness and truth tests are its own.  The tests' per-window reference
-checker (one-element group ops) and perfbench/oracle.py (arithmetic of its
-own) share neither function.
+walk and restored on backtrack.  check() calls the same two functions on
+columns of the arrangement's windows, with no table; its distinctness and
+truth tests are its own.  The tests' per-window reference checker
+(one-element group ops) and perfbench/oracle.py (arithmetic of its own)
+share neither function.
 
 Symmetry reduction
 ------------------
@@ -93,7 +101,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
-from itertools import chain, count, permutations, repeat
+from itertools import chain, count, islice, permutations, repeat
 from operator import add, mod, mul, sub
 
 from .algebra import (
@@ -147,6 +155,8 @@ DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_MAX = 9
 # failed-subproblem memo entries kept before a deterministic reset
 _MEMO_CAP = 1 << 20
+# the finite grounds: groups and fields
+_FINITE = (CyclicProduct, PrimeField, PrimePowerField)
 
 # Rainbow label kinds (adjacent labels must be pairwise distinct).
 RB_SUM = "sum"  # x + y
@@ -606,7 +616,7 @@ def _label_sums(ground: GroundSet, shape: str, constraint: Constraint) -> tuple:
         if cl.modulus is not None and isinstance(spec, Integers):
             space = CyclicProduct((cl.modulus,))
             size = cl.modulus
-        elif cl.modulus is None and isinstance(spec, (CyclicProduct, PrimeField, PrimePowerField)):
+        elif cl.modulus is None and isinstance(spec, _FINITE):
             space = spec
             size = group_order(spec) - diff
         else:
@@ -688,25 +698,50 @@ class _LazyRow(dict):
         return v
 
 
+# finite grounds up to this order label pairs from one addition table, whose
+# entries, element indices, then fit in a byte
+_TABLE_MAX_ORDER = 256
+
+
+@lru_cache(maxsize=64)
+def _addition_table(spec: CyclicProduct | PrimeField | PrimePowerField) -> tuple:
+    """(index, table) of a finite group of order at most _TABLE_MAX_ORDER:
+    index maps each element to its place in group_elements(spec), and
+    table[i] is one bytes row, table[i][j] the index of the sum of elements
+    i and j, made by group_add_all.  Built once per group and process."""
+    elems = group_elements(spec)
+    index = {x: i for i, x in enumerate(elems)}
+    q = len(elems)
+    sums = group_add_all(spec, [x for x in elems for _ in elems], elems * q)
+    flat = bytes(map(index.__getitem__, sums))
+    return index, [flat[i:i + q] for i in range(0, q * q, q)]
+
+
 def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names: count) -> tuple:
     """The kernel's state for one rainbow clause: (arity, pairs, rows),
     such that a window (x, y, z) of indices into elems has the label name
-    rows[z][pairs[x][y]].  Every label is named by a small int drawn from
-    names, the one namer of a search's rainbow clauses, on the first read
-    of a window that has it, so that no two clauses share a name and the
-    names count only the labels a search visits; the kernel tracks the
-    labels in use as the bits 1 << name of one int.  The labels are
-    rainbow_labels', made for all pairs at once.  For triple, pairs[x][y]
-    is the pair sum of elems[x] and elems[y] (tuple sums keyed by small
-    ints of their own) and rows[z] names its sum with elems[z].  The other
-    kinds label a window (x, y, z) by (y, z) alone: pairs[x][y] is y, also
-    for x = n, the free start of a line, and rows[z][y] names the label of
-    (elems[y], elems[z])."""
+    rows[z][pairs[x][y]].  Names are small ints drawn from names, the one
+    namer of a search's rainbow clauses, so that no two clauses share a
+    name; the kernel tracks the labels in use as the bits 1 << name of one
+    int.  For triple, pairs[x][y] is the key of the pair sum of elems[x] and
+    elems[y], and rows[z] names its sum with elems[z].  The other kinds
+    label a window (x, y, z) by (y, z) alone: pairs[x][y] is the key of y,
+    also for x = n, the free start of a line, and rows[z] names the label
+    of (elems[y], elems[z]) by that key.
+
+    Over a group of order at most _TABLE_MAX_ORDER, a sum, diff, weighted
+    or triple clause without a modulus reads _addition_table: a key is an
+    element's index, rows[z] is the table row of elems[z] (of -elems[z] for
+    diff, 2 elems[z] for weighted), and a name is base + index, where the
+    clause reserves names base to base + order - 1.  Every other clause
+    names each rainbow_labels label on the first read of a window that has
+    it.  Its pairs are labelled on first read too over the integers without
+    a modulus, where nearly every label differs, and elsewhere all at once
+    (tuple labels keyed by small ints of their own, int labels their own
+    keys)."""
     kind = clause.kind
     m = clause.modulus
     n = len(elems)
-    tuples = isinstance(elems[0], tuple)
-    label_name = defaultdict(names.__next__)
     ys = elems
     pair = clause
     # x - y and x + 2y are sums of x and a column of -y or 2y made once
@@ -718,14 +753,33 @@ def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names:
         pair = RainbowClause(RB_SUM, m)
     elif kind == RB_TRIPLE:
         pair = RainbowClause(RB_SUM)
-    # tuple labels are keyed by small ints, int labels are their own keys
+    small = isinstance(spec, _FINITE) and group_order(spec) <= _TABLE_MAX_ORDER
+    if pair.kind == RB_SUM and m is None and small:
+        index, table = _addition_table(spec)
+        at = bytes(map(index.__getitem__, elems))
+        rows = [table[index[y]] for y in ys]
+        base = next(names)  # and the order - 1 names after it
+        next(islice(names, len(table) - 1, len(table) - 1), None)
+        if base:
+            rows = [list(map(base.__add__, row)) for row in rows]
+        if kind != RB_TRIPLE:
+            return 2, [at] * (n + 1), rows
+        return 3, [bytes(map(table[i].__getitem__, at)) for i in at], rows
+    label_name = defaultdict(names.__next__)
+    tuples = isinstance(elems[0], tuple)
     key_of = defaultdict(count().__next__) if tuples else None
-    keys = []
-    for xs, block_ys in _row_blocks(elems, ys):
-        labels = rainbow_labels(spec, pair, xs, block_ys)
-        if key_of is not None:
-            labels = list(map(key_of.__getitem__, labels))
-        keys += [labels[k:k + n] for k in range(0, len(labels), n)]
+    if isinstance(spec, Integers) and m is None:
+        # keys[x][z] is the label of (elems[x], ys[z]), made on first read
+        keys = [_LazyRow() for _ in elems]
+        for x, row in zip(elems, keys):
+            row.name_of = lambda z, x=x: rainbow_labels(spec, pair, (x,), (ys[z],))[0]
+    else:
+        keys = []
+        for xs, block_ys in _row_blocks(elems, ys):
+            labels = rainbow_labels(spec, pair, xs, block_ys)
+            if key_of is not None:
+                labels = list(map(key_of.__getitem__, labels))
+            keys += [labels[k:k + n] for k in range(0, len(labels), n)]
     rows = [_LazyRow() for _ in elems]
     if kind != RB_TRIPLE:
         for z, row in enumerate(rows):
@@ -962,7 +1016,15 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, budget: int,
         """Kuhn's augmenting search, depth first, from the unmatched source
         a through matched targets to a target in free.  Rematches the path
         it finds, logging every write, and returns the free target taken;
-        -1 when there is no such path."""
+        -1 when there is no such path.  A free target a reaches directly,
+        the loop's first step, is taken without building its stack."""
+        hit = out_mask[a] & targets & free
+        if hit:
+            t = (hit & -hit).bit_length() - 1
+            log.append((a, mt[a], t, ms[t]))
+            mt[a] = t
+            ms[t] = a
+            return t
         sources = [a]
         options = [out_mask[a] & targets]
         seen = 0
@@ -1216,13 +1278,14 @@ def check_pair_numbering(spec: GroupSpec, a: tuple, b: tuple) -> bool:
 
 def search_pair_numbering(ground: GroundSet, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Numberings a (the sorted ground) and b of one set with a_i + 2*b_i
-    pairwise distinct.  Position i with element j has the label rows[j][i]
-    of a weighted clause's tracker; a prefix is cut at its first repeated
-    label, so the witness b is the first in lex order."""
+    pairwise distinct.  Position i with element j has the label
+    rows[j][pairs[0][i]] of a weighted clause's tracker; a prefix is cut at
+    its first repeated label, so the witness b is the first in lex order."""
     t0 = time.perf_counter()
     elems = sorted(ground.elements)
     n = len(elems)
-    _, _, rows = _rainbow_tracker(ground.spec, RainbowClause(RB_WEIGHTED), elems, count())
+    _, pairs, rows = _rainbow_tracker(ground.spec, RainbowClause(RB_WEIGHTED), elems, count())
+    at = pairs[0]
     path = [0] * n
     # per position, as bits: the elements unused, those left to try, the labels in use
     unused = [(1 << n) - 1] + [0] * n
@@ -1242,7 +1305,7 @@ def search_pair_numbering(ground: GroundSet, budget: int = DEFAULT_BUDGET) -> Se
             status = "budget"
             break
         j = b.bit_length() - 1
-        bit = 1 << rows[j][i]
+        bit = 1 << rows[j][at[i]]
         if used[i] & bit:
             continue
         path[i] = j
