@@ -65,12 +65,11 @@ or triple clause without a modulus over a group or field of order at most
 group_add_all on every pair of group_elements: a key is an element's
 index in that list, a row is a bytes row of the table, and a label's name
 is its index in a block of order names the clause reserves from the one
-namer of the search.  Every other rainbow label is named from that namer
-when a window that has it is first read, so that the names count only the
-labels the search visits; over the integers without a modulus, where
-nearly all labels differ, the pair itself is labelled on its first read,
-and elsewhere all pairs are labelled in blocks of whole rows when the
-search starts.  So no two clauses share a name.  The labels in use are
+namer of the search.  Every other rainbow clause keys a window by b
+itself or the pair sum, and labels it by rainbow_labels and names the
+label from that namer when a window that has it is first read, so that a
+search labels only the pairs it visits and the names count only the
+labels it meets.  So no two clauses share a name.  The labels in use are
 tracked as the bits 1 << name of one int, saved with each level of the
 walk and restored on backtrack.  check() calls the same two functions on
 columns of the arrangement's windows, with no table; its distinctness and
@@ -688,8 +687,9 @@ def _row_blocks(xs: list, ys: list):
 
 
 class _LazyRow(dict):
-    """Maps a key to the name of a label, filled on first read by
-    name_of(key), so that a row holds only the labels a search visits."""
+    """Maps a key to the name of a label, or to a triple's pair sum,
+    filled on first read by name_of(key), so that a row holds only what a
+    search visits."""
 
     __slots__ = ("name_of",)
 
@@ -734,11 +734,9 @@ def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names:
     element's index, rows[z] is the table row of elems[z] (of -elems[z] for
     diff, 2 elems[z] for weighted), and a name is base + index, where the
     clause reserves names base to base + order - 1.  Every other clause
-    names each rainbow_labels label on the first read of a window that has
-    it.  Its pairs are labelled on first read too over the integers without
-    a modulus, where nearly every label differs, and elsewhere all at once
-    (tuple labels keyed by small ints of their own, int labels their own
-    keys)."""
+    keys a window by elements (y itself, or the pair sum for triple) and
+    labels and names it with rainbow_labels on the first read of a window
+    that has it, so that a search labels only the pairs it visits."""
     kind = clause.kind
     m = clause.modulus
     n = len(elems)
@@ -752,7 +750,7 @@ def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names:
         ys = group_add_all(spec, elems, elems)
         pair = RainbowClause(RB_SUM, m)
     elif kind == RB_TRIPLE:
-        pair = RainbowClause(RB_SUM)
+        pair = RainbowClause(RB_SUM, m)
     small = isinstance(spec, _FINITE) and group_order(spec) <= _TABLE_MAX_ORDER
     if pair.kind == RB_SUM and m is None and small:
         index, table = _addition_table(spec)
@@ -766,37 +764,16 @@ def _rainbow_tracker(spec: GroupSpec, clause: RainbowClause, elems: list, names:
             return 2, [at] * (n + 1), rows
         return 3, [bytes(map(table[i].__getitem__, at)) for i in at], rows
     label_name = defaultdict(names.__next__)
-    tuples = isinstance(elems[0], tuple)
-    key_of = defaultdict(count().__next__) if tuples else None
-    if isinstance(spec, Integers) and m is None:
-        # keys[x][z] is the label of (elems[x], ys[z]), made on first read
-        keys = [_LazyRow() for _ in elems]
-        for x, row in zip(elems, keys):
-            row.name_of = lambda z, x=x: rainbow_labels(spec, pair, (x,), (ys[z],))[0]
-    else:
-        keys = []
-        for xs, block_ys in _row_blocks(elems, ys):
-            labels = rainbow_labels(spec, pair, xs, block_ys)
-            if key_of is not None:
-                labels = list(map(key_of.__getitem__, labels))
-            keys += [labels[k:k + n] for k in range(0, len(labels), n)]
     rows = [_LazyRow() for _ in elems]
+    for z, row in zip(ys, rows):
+        row.name_of = lambda v, z=z: label_name[rainbow_labels(spec, pair, (v,), (z,))[0]]
     if kind != RB_TRIPLE:
-        for z, row in enumerate(rows):
-            row.name_of = lambda y, z=z: label_name[keys[y][z]]
-        return 2, [list(range(n))] * (n + 1), rows
-    # a triple label is the pair sum plus the third element, reduced mod m
-    sums = list(key_of) if tuples else None  # the pair sums by key
-
-    def plus(s, z):
-        if sums is not None:
-            s = sums[s]
-        label = group_add(spec, s, z)
-        return label_name[label if m is None else label % m]
-
-    for row, z in zip(rows, elems):
-        row.name_of = lambda s, z=z: plus(s, z)
-    return 3, keys, rows
+        return 2, [elems] * (n + 1), rows
+    # a triple window's key is its pair sum, made on first read
+    pairs = [_LazyRow() for _ in elems]
+    for x, row in zip(elems, pairs):
+        row.name_of = lambda y, x=x: group_add(spec, x, elems[y])
+    return 3, pairs, rows
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -1016,15 +993,7 @@ def _walk(ground: GroundSet, shape: str, constraint: Constraint, budget: int,
         """Kuhn's augmenting search, depth first, from the unmatched source
         a through matched targets to a target in free.  Rematches the path
         it finds, logging every write, and returns the free target taken;
-        -1 when there is no such path.  A free target a reaches directly,
-        the loop's first step, is taken without building its stack."""
-        hit = out_mask[a] & targets & free
-        if hit:
-            t = (hit & -hit).bit_length() - 1
-            log.append((a, mt[a], t, ms[t]))
-            mt[a] = t
-            ms[t] = a
-            return t
+        -1 when there is no such path."""
         sources = [a]
         options = [out_mask[a] & targets]
         seen = 0

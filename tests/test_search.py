@@ -769,7 +769,7 @@ class TestDeepSearches:
     def test_twelve_hundred_large_ints(self):
         # nearly all of the 1.44 million pair sums differ; only the pairs
         # the walk reads are labelled and named, so the labels in use stay
-        # a short int at each of the 1,200 levels (about 2.8 MB in all;
+        # a short int at each of the 1,200 levels (about 2.2 MB in all;
         # labelling every pair up front took 57 MB)
         rng = random.Random(1)
         ground = GroundSet(Z, tuple(rng.sample(range(10**9), 1200)))
